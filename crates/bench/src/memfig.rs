@@ -14,13 +14,13 @@ use std::time::Instant;
 
 use oak_core::{OakMap, OakMapConfig};
 use oak_gcheap::{layout, HeapConfig, HeapModel, ManagedHeap};
-use oak_mempool::{AllocError, PoolConfig};
+use oak_mempool::{AllocError, PoolConfig, PoolStats};
 use oak_skiplist::offheap::OffHeapSkipListMap;
 use oak_skiplist::SkipListMap;
 
 use parking_lot::Mutex;
 
-use crate::report::{RobustnessStats, Row, Summary};
+use crate::report::{Row, Summary};
 use crate::workload::WorkloadConfig;
 
 /// Result of one ingestion run.
@@ -93,7 +93,7 @@ pub fn ingest_oak_stats(
     config: &WorkloadConfig,
     n: u64,
     ram_budget: u64,
-) -> (IngestOutcome, Option<RobustnessStats>) {
+) -> (IngestOutcome, Option<PoolStats>) {
     let pool = pool_for(config, n);
     let pool_bytes = (pool.arena_size * pool.max_arenas) as u64;
     if pool_bytes > ram_budget {
@@ -110,8 +110,7 @@ pub fn ingest_oak_stats(
                 oak_core::OakError::OutOfMemory
                 | oak_core::OakError::Alloc(AllocError::PoolExhausted),
             ) => {
-                let stats = RobustnessStats::from(map.pool().stats());
-                return (IngestOutcome::Oom { ingested: i }, Some(stats));
+                return (IngestOutcome::Oom { ingested: i }, Some(map.pool().stats()));
             }
             Err(e) => panic!("unexpected: {e}"),
         }
@@ -119,7 +118,7 @@ pub fn ingest_oak_stats(
     let outcome = IngestOutcome::Done {
         kops: n as f64 / start.elapsed().as_secs_f64() / 1_000.0,
     };
-    (outcome, Some(RobustnessStats::from(map.pool().stats())))
+    (outcome, Some(map.pool().stats()))
 }
 
 /// Ingests into the on-heap skiplist under a simulated JVM heap of the
@@ -157,7 +156,7 @@ pub fn ingest_offheap_stats(
     config: &WorkloadConfig,
     n: u64,
     ram_budget: u64,
-) -> (IngestOutcome, Option<RobustnessStats>) {
+) -> (IngestOutcome, Option<PoolStats>) {
     let pool = pool_for(config, n);
     let pool_bytes = (pool.arena_size * pool.max_arenas) as u64;
     if pool_bytes >= ram_budget {
@@ -167,7 +166,7 @@ pub fn ingest_offheap_stats(
         ram_budget - pool_bytes,
     )));
     let map = OffHeapSkipListMap::with_heap(pool, heap.clone());
-    let stats = |m: &OffHeapSkipListMap| Some(RobustnessStats::from(m.pool().stats()));
+    let stats = |m: &OffHeapSkipListMap| Some(m.pool().stats());
     let ids = shuffled_ids(n, config.seed);
     let start = Instant::now();
     for (i, &id) in ids.iter().enumerate() {
@@ -197,7 +196,7 @@ fn push_row(
     bench: &str,
     ram: u64,
     n: u64,
-    (o, robustness): (IngestOutcome, Option<RobustnessStats>),
+    (o, robustness): (IngestOutcome, Option<PoolStats>),
 ) {
     let (mops, note) = match o {
         IngestOutcome::Done { kops } => (kops / 1_000.0, String::new()),

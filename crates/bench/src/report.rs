@@ -6,6 +6,8 @@
 
 use std::fmt::Write as _;
 
+use oak_mempool::PoolStats;
+
 /// One row of the summary table.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -27,135 +29,58 @@ pub struct Row {
     pub mops: f64,
     /// Free-form note (e.g. `OOM`).
     pub note: String,
-    /// Contention / failure counters from the solution's off-heap pool,
-    /// when the solution has one (Oak adapters report these).
-    pub robustness: Option<RobustnessStats>,
+    /// Snapshot of the solution's off-heap pool, when it has one (Oak
+    /// adapters report these): contention / failure counters surfaced next
+    /// to throughput, so a run that looked fast but aborted locks or
+    /// dropped allocations is visible in the report.
+    pub robustness: Option<PoolStats>,
 }
 
-/// Contention and failure counters surfaced next to throughput, so a run
-/// that looked fast but aborted locks or dropped allocations is visible in
-/// the report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RobustnessStats {
-    /// Header-lock backoff rounds summed over all acquisitions.
-    pub lock_retries: u64,
-    /// Lock acquisitions abandoned after the bounded budget.
-    pub contended_aborts: u64,
-    /// Allocation requests that returned an error.
-    pub failed_allocs: u64,
-    /// Values poisoned by the compute panic guard.
-    pub poisoned_values: u64,
-    /// Operations that surfaced out-of-memory after emergency reclamation.
-    pub oom_failures: u64,
-    /// Emergency reclamation passes triggered by pool exhaustion.
-    pub emergency_reclaims: u64,
-    /// External fragmentation of free pool space at snapshot time, as a
-    /// rounded percentage (fraction of free bytes outside the largest
-    /// free segment; kept integral so the struct stays `Eq`).
-    pub fragmentation_pct: u64,
-    /// Off-heap key-byte dereferences (hot-path counter: the prefix cache
-    /// exists to shrink this).
-    pub offheap_key_derefs: u64,
-    /// Free-list mutex acquisitions (hot-path counter: allocation
-    /// magazines exist to shrink this).
-    pub freelist_lock_acquires: u64,
-    /// Allocations served from a thread-affine magazine without touching
-    /// a free-list lock.
-    pub magazine_hits: u64,
-    /// Budgeted operation retries taken under the retry/backoff policy.
-    pub op_retries: u64,
-    /// Operations that surfaced `DeadlineExceeded`.
-    pub deadline_exceeded: u64,
-    /// Writes rejected early with `Overloaded` by the degraded-mode
-    /// controller.
-    pub write_sheds: u64,
-    /// Scans truncated with `Overloaded` by the degraded-mode controller.
-    pub scan_sheds: u64,
-    /// Chunk snapshots taken by the batch scan pipeline (hot-path
-    /// counter: one per chunk-resident batch fill).
-    pub scan_chunk_batches: u64,
-    /// Batch refills that found their chunk stale (replaced or
-    /// revision-bumped) and re-located through the index.
-    pub scan_revalidations: u64,
-    /// Batch fills that reused an already-allocated cursor buffer
-    /// (hot-path counter: the reusable buffer exists to make this the
-    /// common case).
-    pub scan_buffer_reuses: u64,
-    /// Slices parked on a lock-free per-class stack (magazine surplus
-    /// flushes and rack-miss frees that bypassed the mutex).
-    pub class_stack_pushes: u64,
-    /// Slices recycled from a lock-free per-class stack (magazine refills
-    /// and direct pops that bypassed the mutex).
-    pub class_stack_pops: u64,
-    /// CAS retries across all class-stack operations (contention gauge
-    /// for the Treiber stacks).
-    pub cas_retries: u64,
-    /// Magazine refills served whole batches from a class stack instead
-    /// of carving the mutex free list.
-    pub lockfree_refills: u64,
-    /// Arenas taken from the shared lock-free reservoir (zero for pools
-    /// with private arena reservations).
-    pub reservoir_takes: u64,
-    /// Arenas returned to the shared reservoir.
-    pub reservoir_returns: u64,
-    /// Failed head CASes across reservoir take/give-back calls — the
-    /// mutex-free reservoir's only contention gauge, expected ≈ 0 when
-    /// shards keep to their own lanes.
-    pub reservoir_cas_retries: u64,
-    /// Reservoir takes that had to drain another pool's lane.
-    pub reservoir_steals: u64,
-}
-
-impl RobustnessStats {
-    /// Whether any contention/failure counter fired. The hot-path traffic
-    /// counters (`offheap_key_derefs`, `freelist_lock_acquires`,
-    /// `magazine_hits`, and the `scan_*` batch counters) are excluded:
-    /// they are non-zero on every healthy run and belong in the CSV/JSON,
-    /// not the incident note.
-    fn has_incidents(&self) -> bool {
-        self.lock_retries != 0
-            || self.contended_aborts != 0
-            || self.failed_allocs != 0
-            || self.poisoned_values != 0
-            || self.oom_failures != 0
-            || self.emergency_reclaims != 0
-            || self.fragmentation_pct != 0
-            || self.deadline_exceeded != 0
-            || self.write_sheds != 0
-            || self.scan_sheds != 0
+impl Row {
+    fn to_json(&self) -> String {
+        let pool = match &self.robustness {
+            Some(rb) => {
+                let cells: Vec<String> = pool_columns(rb)
+                    .map(|(name, v, _)| format!("\"{name}\": {v}"))
+                    .collect();
+                format!("{{{}}}", cells.join(", "))
+            }
+            None => "null".to_string(),
+        };
+        format!(
+            "    {{\"scenario\": \"{}\", \"bench\": \"{}\", \"heap_bytes\": {}, \
+             \"direct_bytes\": {}, \"threads\": {}, \"shards\": {}, \"final_size\": {}, \
+             \"mops\": {:.6}, \"note\": \"{}\", \"robustness\": {pool}}}",
+            json_escape(&self.scenario),
+            json_escape(&self.bench),
+            self.heap_bytes,
+            self.direct_bytes,
+            self.threads,
+            self.shards,
+            self.final_size,
+            self.mops,
+            json_escape(&self.note)
+        )
     }
 }
 
-impl From<oak_mempool::PoolStats> for RobustnessStats {
-    fn from(s: oak_mempool::PoolStats) -> Self {
-        RobustnessStats {
-            lock_retries: s.lock_retries,
-            contended_aborts: s.contended_aborts,
-            failed_allocs: s.failed_allocs,
-            poisoned_values: s.poisoned_values,
-            oom_failures: s.oom_failures,
-            emergency_reclaims: s.emergency_reclaims,
-            fragmentation_pct: (s.fragmentation() * 100.0).round() as u64,
-            offheap_key_derefs: s.offheap_key_derefs,
-            freelist_lock_acquires: s.freelist_lock_acquires,
-            magazine_hits: s.magazine_hits,
-            op_retries: s.op_retries,
-            deadline_exceeded: s.deadline_exceeded,
-            write_sheds: s.overload_sheds,
-            scan_sheds: s.scan_sheds,
-            scan_chunk_batches: s.scan_chunk_batches,
-            scan_revalidations: s.scan_revalidations,
-            scan_buffer_reuses: s.scan_buffer_reuses,
-            class_stack_pushes: s.class_stack_pushes,
-            class_stack_pops: s.class_stack_pops,
-            cas_retries: s.cas_retries,
-            lockfree_refills: s.lockfree_refills,
-            reservoir_takes: s.reservoir_takes,
-            reservoir_returns: s.reservoir_returns,
-            reservoir_cas_retries: s.reservoir_cas_retries,
-            reservoir_steals: s.reservoir_steals,
-        }
-    }
+/// External fragmentation of the pool's free space as a rounded percentage
+/// (the one derived column the exporters add to the metric table).
+pub fn fragmentation_pct(s: &PoolStats) -> u64 {
+    (s.fragmentation() * 100.0).round() as u64
+}
+
+/// Every exported pool column as `(name, value, incident)`: the metric
+/// table in [`PoolStats::METRICS`] order, then the derived
+/// `fragmentation_pct`. Hot-path traffic counters (`offheap_key_derefs`,
+/// `magazine_hits`, the `scan_*` batch counters, …) carry no incident flag:
+/// they are non-zero on every healthy run and belong in the CSV/JSON, not
+/// the table's incident note.
+fn pool_columns(s: &PoolStats) -> impl Iterator<Item = (&'static str, u64, bool)> {
+    let derived = ("fragmentation_pct", fragmentation_pct(s), true);
+    s.values()
+        .map(|(m, v)| (m.name, v, m.incident))
+        .chain([derived])
 }
 
 /// Accumulates rows and renders the CSV.
@@ -180,52 +105,23 @@ impl Summary {
         &self.rows
     }
 
-    /// Renders the artifact-style CSV, extended with the contention /
-    /// failure columns (blank for solutions without an off-heap pool).
+    /// Renders the artifact-style CSV, extended with one column per pool
+    /// metric (blank for solutions without an off-heap pool).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "Scenario,Bench,Heap size,Direct Mem,#Threads,Shards,Final Size,Throughput,Note,\
-             LockRetries,ContendedAborts,FailedAllocs,PoisonedValues,OOMs,Reclaims,FragPct,\
-             KeyDerefs,FreelistLocks,MagazineHits,OpRetries,Deadlines,WriteSheds,ScanSheds,\
-             ScanBatches,ScanRevals,ScanBufReuses,\
-             ClassStackPushes,ClassStackPops,CasRetries,LockfreeRefills,\
-             ReservoirTakes,ReservoirReturns,ReservoirCasRetries,ReservoirSteals\n",
+        let names: String = pool_columns(&PoolStats::default())
+            .map(|(name, ..)| format!(",{name}"))
+            .collect();
+        let mut out = format!(
+            "Scenario,Bench,Heap size,Direct Mem,#Threads,Shards,Final Size,Throughput,Note{names}\n"
         );
         for r in &self.rows {
-            let rb = match &r.robustness {
-                Some(rb) => format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                    rb.lock_retries,
-                    rb.contended_aborts,
-                    rb.failed_allocs,
-                    rb.poisoned_values,
-                    rb.oom_failures,
-                    rb.emergency_reclaims,
-                    rb.fragmentation_pct,
-                    rb.offheap_key_derefs,
-                    rb.freelist_lock_acquires,
-                    rb.magazine_hits,
-                    rb.op_retries,
-                    rb.deadline_exceeded,
-                    rb.write_sheds,
-                    rb.scan_sheds,
-                    rb.scan_chunk_batches,
-                    rb.scan_revalidations,
-                    rb.scan_buffer_reuses,
-                    rb.class_stack_pushes,
-                    rb.class_stack_pops,
-                    rb.cas_retries,
-                    rb.lockfree_refills,
-                    rb.reservoir_takes,
-                    rb.reservoir_returns,
-                    rb.reservoir_cas_retries,
-                    rb.reservoir_steals
-                ),
-                None => ",,,,,,,,,,,,,,,,,,,,,,,,".to_string(),
+            let pool: String = match &r.robustness {
+                Some(rb) => pool_columns(rb).map(|(_, v, _)| format!(",{v}")).collect(),
+                None => pool_columns(&PoolStats::default()).map(|_| ",").collect(),
             };
             let _ = writeln!(
                 out,
-                "{},{},{},{},{},{},{},{:.6},{},{}",
+                "{},{},{},{},{},{},{},{:.6},{}{pool}",
                 r.scenario,
                 r.bench,
                 human_bytes(r.heap_bytes),
@@ -234,136 +130,48 @@ impl Summary {
                 r.shards,
                 r.final_size,
                 r.mops,
-                r.note,
-                rb
+                r.note
             );
         }
         out
     }
 
     /// Renders the machine-readable JSON report: one object per row with
-    /// scenario → throughput plus the full robustness and hot-path counter
-    /// sets, and the exact command that produced the run (so a checked-in
-    /// baseline documents how to regenerate it). Hand-rolled — the
-    /// workspace deliberately has no serde dependency.
+    /// scenario → throughput plus every pool metric under its `PoolStats`
+    /// field name, and the exact command that produced the run (so a
+    /// checked-in baseline documents how to regenerate it). Hand-rolled —
+    /// the workspace deliberately has no serde dependency.
     pub fn to_json(&self, command: &str) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"command\": \"{}\",", json_escape(command));
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str("    {");
-            let _ = write!(
-                out,
-                "\"scenario\": \"{}\", \"bench\": \"{}\", \"heap_bytes\": {}, \
-                 \"direct_bytes\": {}, \"threads\": {}, \"shards\": {}, \
-                 \"final_size\": {}, \"mops\": {:.6}, \"note\": \"{}\"",
-                json_escape(&r.scenario),
-                json_escape(&r.bench),
-                r.heap_bytes,
-                r.direct_bytes,
-                r.threads,
-                r.shards,
-                r.final_size,
-                r.mops,
-                json_escape(&r.note)
-            );
-            match &r.robustness {
-                Some(rb) => {
-                    let _ = write!(
-                        out,
-                        ", \"robustness\": {{\"lock_retries\": {}, \"contended_aborts\": {}, \
-                         \"failed_allocs\": {}, \"poisoned_values\": {}, \"oom_failures\": {}, \
-                         \"emergency_reclaims\": {}, \"fragmentation_pct\": {}, \
-                         \"offheap_key_derefs\": {}, \"freelist_lock_acquires\": {}, \
-                         \"magazine_hits\": {}, \"op_retries\": {}, \"deadline_exceeded\": {}, \
-                         \"write_sheds\": {}, \"scan_sheds\": {}, \"scan_chunk_batches\": {}, \
-                         \"scan_revalidations\": {}, \"scan_buffer_reuses\": {}, \
-                         \"class_stack_pushes\": {}, \"class_stack_pops\": {}, \
-                         \"cas_retries\": {}, \"lockfree_refills\": {}, \
-                         \"reservoir_takes\": {}, \"reservoir_returns\": {}, \
-                         \"reservoir_cas_retries\": {}, \"reservoir_steals\": {}}}",
-                        rb.lock_retries,
-                        rb.contended_aborts,
-                        rb.failed_allocs,
-                        rb.poisoned_values,
-                        rb.oom_failures,
-                        rb.emergency_reclaims,
-                        rb.fragmentation_pct,
-                        rb.offheap_key_derefs,
-                        rb.freelist_lock_acquires,
-                        rb.magazine_hits,
-                        rb.op_retries,
-                        rb.deadline_exceeded,
-                        rb.write_sheds,
-                        rb.scan_sheds,
-                        rb.scan_chunk_batches,
-                        rb.scan_revalidations,
-                        rb.scan_buffer_reuses,
-                        rb.class_stack_pushes,
-                        rb.class_stack_pops,
-                        rb.cas_retries,
-                        rb.lockfree_refills,
-                        rb.reservoir_takes,
-                        rb.reservoir_returns,
-                        rb.reservoir_cas_retries,
-                        rb.reservoir_steals
-                    );
-                }
-                None => out.push_str(", \"robustness\": null"),
-            }
-            out.push('}');
-            if i + 1 < self.rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows: Vec<String> = self.rows.iter().map(Row::to_json).collect();
+        format!(
+            "{{\n  \"command\": \"{}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+            json_escape(command),
+            rows.join(",\n")
+        )
     }
 
     /// Renders an aligned table for the terminal.
     pub fn to_table(&self) -> String {
         let mut out = format!(
-            "{:<28} {:<16} {:>9} {:>9} {:>8} {:>7} {:>11} {:>12}  {}\n",
-            "Scenario",
-            "Bench",
-            "Heap",
-            "DirectMem",
-            "Threads",
-            "Shards",
-            "FinalSize",
-            "Mops/s",
-            "Note"
+            "{:<28} {:<16} {:>9} {:>9} {:>8} {:>7} {:>11} {:>12}  Note\n",
+            "Scenario", "Bench", "Heap", "DirectMem", "Threads", "Shards", "FinalSize", "Mops/s"
         );
         for r in &self.rows {
             // Contention details only when something actually went wrong:
             // the common all-zero case stays quiet.
             let mut note = r.note.clone();
-            if let Some(rb) = &r.robustness {
-                if rb.has_incidents() {
-                    if !note.is_empty() {
-                        note.push(' ');
-                    }
-                    let _ = write!(
-                        note,
-                        "[retries={} aborts={} failed-allocs={} poisoned={} oom={} reclaims={} frag={}%",
-                        rb.lock_retries,
-                        rb.contended_aborts,
-                        rb.failed_allocs,
-                        rb.poisoned_values,
-                        rb.oom_failures,
-                        rb.emergency_reclaims,
-                        rb.fragmentation_pct
-                    );
-                    if rb.deadline_exceeded != 0 || rb.write_sheds != 0 || rb.scan_sheds != 0 {
-                        let _ = write!(
-                            note,
-                            " deadlines={} write-sheds={} scan-sheds={}",
-                            rb.deadline_exceeded, rb.write_sheds, rb.scan_sheds
-                        );
-                    }
-                    note.push(']');
+            let fired: Vec<String> = r
+                .robustness
+                .iter()
+                .flat_map(pool_columns)
+                .filter(|&(_, v, incident)| incident && v != 0)
+                .map(|(name, v, _)| format!("{name}={v}"))
+                .collect();
+            if !fired.is_empty() {
+                if !note.is_empty() {
+                    note.push(' ');
                 }
+                let _ = write!(note, "[{}]", fired.join(" "));
             }
             let _ = writeln!(
                 out,
@@ -420,12 +228,10 @@ pub fn human_bytes(b: u64) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn csv_layout() {
-        let mut s = Summary::new();
-        s.push(Row {
+    fn row(bench: &str, robustness: Option<PoolStats>) -> Row {
+        Row {
             scenario: "4a-put".into(),
-            bench: "OakMap".into(),
+            bench: bench.into(),
             heap_bytes: 12 << 30,
             direct_bytes: 20 << 30,
             threads: 4,
@@ -433,8 +239,14 @@ mod tests {
             final_size: 10_000_000,
             mops: 1.5,
             note: String::new(),
-            robustness: None,
-        });
+            robustness,
+        }
+    }
+
+    #[test]
+    fn csv_layout() {
+        let mut s = Summary::new();
+        s.push(row("OakMap", None));
         let csv = s.to_csv();
         assert!(csv.starts_with("Scenario,Bench,"));
         assert!(csv.contains("#Threads,Shards,Final Size"));
@@ -443,189 +255,63 @@ mod tests {
     }
 
     #[test]
-    fn robustness_columns() {
+    fn every_metric_is_exported_once_under_its_own_name() {
+        // Field i of the metric table carries i + 1, so a value landing in
+        // a neighbour's column or key cannot go unnoticed.
+        let stats = PoolStats::from_fn(|i| i as u64 + 1);
         let mut s = Summary::new();
-        s.push(Row {
-            scenario: "4a-put".into(),
-            bench: "OakMap".into(),
-            heap_bytes: 0,
-            direct_bytes: 1 << 30,
-            threads: 2,
-            shards: 4,
-            final_size: 10,
-            mops: 0.5,
-            note: String::new(),
-            robustness: Some(RobustnessStats {
-                lock_retries: 7,
-                contended_aborts: 1,
-                failed_allocs: 2,
-                poisoned_values: 3,
-                oom_failures: 4,
-                emergency_reclaims: 5,
-                fragmentation_pct: 6,
-                offheap_key_derefs: 100,
-                freelist_lock_acquires: 200,
-                magazine_hits: 300,
-                ..RobustnessStats::default()
-            }),
-        });
+        s.push(row("OakMap", Some(stats)));
+        s.push(row("JavaSkipListMap", None));
+
         let csv = s.to_csv();
-        assert!(csv.contains(
-            "LockRetries,ContendedAborts,FailedAllocs,PoisonedValues,OOMs,Reclaims,FragPct,\
-             KeyDerefs,FreelistLocks,MagazineHits,OpRetries,Deadlines,WriteSheds,ScanSheds,\
-             ScanBatches,ScanRevals,ScanBufReuses,\
-             ClassStackPushes,ClassStackPops,CasRetries,LockfreeRefills,\
-             ReservoirTakes,ReservoirReturns,ReservoirCasRetries,ReservoirSteals"
-        ));
-        assert!(csv.contains(",7,1,2,3,4,5,6,100,200,300,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n"));
-        let table = s.to_table();
-        assert!(table
-            .contains("[retries=7 aborts=1 failed-allocs=2 poisoned=3 oom=4 reclaims=5 frag=6%]"));
-    }
-
-    #[test]
-    fn hot_path_counters_alone_stay_out_of_the_table_note() {
-        let mut s = Summary::new();
-        s.push(Row {
-            scenario: "4c-get-zc".into(),
-            bench: "OakMap".into(),
-            heap_bytes: 0,
-            direct_bytes: 1 << 30,
-            threads: 1,
-            shards: 1,
-            final_size: 10,
-            mops: 1.0,
-            note: String::new(),
-            robustness: Some(RobustnessStats {
-                offheap_key_derefs: 12345,
-                freelist_lock_acquires: 678,
-                magazine_hits: 91011,
-                scan_chunk_batches: 21,
-                scan_revalidations: 2,
-                scan_buffer_reuses: 19,
-                class_stack_pushes: 31,
-                class_stack_pops: 29,
-                cas_retries: 3,
-                lockfree_refills: 11,
-                reservoir_takes: 4,
-                reservoir_returns: 4,
-                reservoir_cas_retries: 0,
-                reservoir_steals: 1,
-                ..RobustnessStats::default()
-            }),
-        });
-        // A healthy run (only traffic counters non-zero) prints no
-        // incident bracket, but the counters are in the CSV.
-        assert!(!s.to_table().contains("[retries="));
-        assert!(s
-            .to_csv()
-            .contains(",12345,678,91011,0,0,0,0,21,2,19,31,29,3,11,4,4,0,1\n"));
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let mut s = Summary::new();
-        s.push(Row {
-            scenario: "4a-put".into(),
-            bench: "OakMap".into(),
-            heap_bytes: 0,
-            direct_bytes: 1 << 20,
-            threads: 2,
-            shards: 1,
-            final_size: 99,
-            mops: 0.25,
-            note: "OOM x1".into(),
-            robustness: Some(RobustnessStats {
-                oom_failures: 1,
-                offheap_key_derefs: 5,
-                freelist_lock_acquires: 6,
-                magazine_hits: 7,
-                scan_chunk_batches: 8,
-                scan_revalidations: 9,
-                scan_buffer_reuses: 10,
-                class_stack_pushes: 11,
-                class_stack_pops: 12,
-                cas_retries: 13,
-                lockfree_refills: 14,
-                reservoir_takes: 15,
-                reservoir_returns: 16,
-                reservoir_cas_retries: 17,
-                reservoir_steals: 18,
-                ..RobustnessStats::default()
-            }),
-        });
-        s.push(Row {
-            scenario: "4a-put".into(),
-            bench: "JavaSkipListMap".into(),
-            heap_bytes: 0,
-            direct_bytes: 0,
-            threads: 2,
-            shards: 1,
-            final_size: 99,
-            mops: 0.5,
-            note: String::new(),
-            robustness: None,
-        });
+        let lines: Vec<Vec<&str>> = csv.lines().map(|l| l.split(',').collect()).collect();
+        let [header, with, without] = &lines[..] else {
+            panic!("header and two rows expected:\n{csv}");
+        };
+        assert_eq!(with.len(), header.len());
+        assert_eq!(without.len(), header.len(), "poolless row lost cells");
+        assert_eq!(header.last(), Some(&"fragmentation_pct"));
         let json = s.to_json("synchrobench --quick --json out.json");
+        assert_eq!(json.matches("\"fragmentation_pct\": ").count(), 1);
+        // Every incident row that fired (and no other) reaches the note.
+        let table = s.to_table();
+        let note = &table[table.find('[').unwrap() + 1..table.find(']').unwrap()];
+        for (i, m) in PoolStats::METRICS.iter().enumerate() {
+            let cols: Vec<usize> = (0..header.len()).filter(|&c| header[c] == m.name).collect();
+            assert_eq!(cols.len(), 1, "{} in the CSV header", m.name);
+            assert_eq!(with[cols[0]], (i + 1).to_string(), "{} CSV cell", m.name);
+            assert_eq!(without[cols[0]], "", "{} blank without a pool", m.name);
+            let key = format!("\"{}\": ", m.name);
+            assert_eq!(json.matches(&key).count(), 1, "{} as a JSON key", m.name);
+            assert!(json.contains(&format!("{key}{}", i + 1)), "{} JSON", m.name);
+            let cell = format!("{}={}", m.name, i + 1);
+            assert_eq!(note.split(' ').any(|c| c == cell), m.incident, "{cell}");
+        }
+
         assert!(json.contains("\"command\": \"synchrobench --quick --json out.json\""));
-        assert!(json.contains("\"scenario\": \"4a-put\""));
-        assert!(json.contains("\"mops\": 0.250000"));
-        assert!(json.contains("\"offheap_key_derefs\": 5"));
-        assert!(json.contains("\"freelist_lock_acquires\": 6"));
-        assert!(json.contains("\"magazine_hits\": 7"));
-        assert!(json.contains("\"scan_chunk_batches\": 8"));
-        assert!(json.contains("\"scan_revalidations\": 9"));
-        assert!(json.contains("\"scan_buffer_reuses\": 10"));
-        assert!(json.contains("\"class_stack_pushes\": 11"));
-        assert!(json.contains("\"class_stack_pops\": 12"));
-        assert!(json.contains("\"cas_retries\": 13"));
-        assert!(json.contains("\"lockfree_refills\": 14"));
-        assert!(json.contains("\"reservoir_takes\": 15"));
-        assert!(json.contains("\"reservoir_returns\": 16"));
-        assert!(json.contains("\"reservoir_cas_retries\": 17"));
-        assert!(json.contains("\"reservoir_steals\": 18"));
+        assert!(json.contains("\"mops\": 1.500000"));
         assert!(json.contains("\"robustness\": null"));
         // Balanced braces/brackets: crude but effective shape check for a
         // hand-rolled encoder.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
-    fn budget_counters_flow_through_reports() {
+    fn hot_path_counters_alone_stay_out_of_the_table_note() {
+        // A healthy run (only traffic counters non-zero) prints no
+        // incident bracket, but the counters are in the CSV.
+        let traffic = |i: usize| {
+            if PoolStats::METRICS[i].incident {
+                0
+            } else {
+                12345
+            }
+        };
         let mut s = Summary::new();
-        s.push(Row {
-            scenario: "chaos".into(),
-            bench: "OakMap".into(),
-            heap_bytes: 0,
-            direct_bytes: 1 << 20,
-            threads: 4,
-            shards: 1,
-            final_size: 10,
-            mops: 0.1,
-            note: String::new(),
-            robustness: Some(RobustnessStats {
-                op_retries: 11,
-                deadline_exceeded: 12,
-                write_sheds: 13,
-                scan_sheds: 14,
-                ..RobustnessStats::default()
-            }),
-        });
-        let csv = s.to_csv();
-        assert!(csv.contains(",11,12,13,14,0,0,0,0,0,0,0,0,0,0,0\n"));
-        let json = s.to_json("chaos --seed 1");
-        assert!(json.contains("\"op_retries\": 11"));
-        assert!(json.contains("\"deadline_exceeded\": 12"));
-        assert!(json.contains("\"write_sheds\": 13"));
-        assert!(json.contains("\"scan_sheds\": 14"));
-        assert!(s
-            .to_table()
-            .contains("deadlines=12 write-sheds=13 scan-sheds=14]"));
+        s.push(row("OakMap", Some(PoolStats::from_fn(traffic))));
+        assert!(!s.to_table().contains('['));
+        assert!(s.to_csv().contains(",12345,"));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use oak_core::{OakError, OakMap, OakMapConfig, ShardedOakMap};
-use oak_mempool::PoolConfig;
+use oak_mempool::{PoolConfig, PoolStats};
 use oak_skiplist::btree::LockedBTreeMap;
 use oak_skiplist::offheap::OffHeapSkipListMap;
 use oak_skiplist::SkipListMap;
@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 
 use crate::adapter::{MapAdapter, TraitAdapter};
 use crate::driver::{ingest, sustained};
-use crate::report::{RobustnessStats, Row, Summary};
+use crate::report::{fragmentation_pct, Row, Summary};
 use crate::workload::{KeyDistribution, Mix, WorkloadConfig};
 
 /// A named Figure-4 scenario.
@@ -269,7 +269,7 @@ pub fn run_scenario_configured(
                 final_size: r.final_size,
                 mops: r.mops_per_sec(),
                 note: String::new(),
-                robustness: map.pool_stats().map(RobustnessStats::from),
+                robustness: map.pool_stats(),
             });
         }
     }
@@ -342,7 +342,7 @@ pub fn run_grid(
                     final_size: r.final_size,
                     mops: r.mops_per_sec(),
                     note: "grid".to_string(),
-                    robustness: map.pool_stats().map(RobustnessStats::from),
+                    robustness: map.pool_stats(),
                 });
             }
         }
@@ -409,7 +409,7 @@ pub fn run_alloc_churn(
                 }
             });
             let elapsed = start.elapsed().as_secs_f64();
-            let stats = RobustnessStats::from(map.pool().stats());
+            let stats = map.pool().stats();
             let total = ops.load(Ordering::Relaxed);
             if verbose {
                 eprintln!(
@@ -447,7 +447,7 @@ pub fn run_alloc_churn(
         // Fresh reservoir per row: its cumulative take/return/CAS ledger
         // is the row's contention evidence.
         let reservoir = Arc::new(oak_mempool::ArenaPool::new(arena_size, 256));
-        let merged = Mutex::new(oak_mempool::PoolStats::default());
+        let merged = Mutex::new(PoolStats::default());
         let ops = AtomicU64::new(0);
         let start = Instant::now();
         std::thread::scope(|s| {
@@ -456,7 +456,7 @@ pub fn run_alloc_churn(
                 let merged = &merged;
                 let ops = &ops;
                 s.spawn(move || {
-                    let mut acc = oak_mempool::PoolStats::default();
+                    let mut acc = PoolStats::default();
                     let mut n = 0u64;
                     let mut round = 0u64;
                     while start.elapsed() < duration {
@@ -495,7 +495,7 @@ pub fn run_alloc_churn(
         // Pool-side snapshots are taken while each map is still alive, so
         // the returns (which happen at drop) only show on the reservoir's
         // own ledger — report that, it is also exact across all instances.
-        let mut stats = RobustnessStats::from(merged.into_inner());
+        let mut stats = merged.into_inner();
         stats.reservoir_takes = ledger.taken;
         stats.reservoir_returns = ledger.returned;
         stats.reservoir_cas_retries = ledger.cas_retries;
@@ -594,7 +594,7 @@ pub fn run_memory_pressure(
         });
         let elapsed = start.elapsed().as_secs_f64();
         map.drain_quarantine();
-        let stats = RobustnessStats::from(map.pool().stats());
+        let stats = map.pool().stats();
         let total = ops.load(Ordering::Relaxed);
         let oom_seen = ooms.load(Ordering::Relaxed);
         // Post-churn usability: a map that rode the exhaustion edge must
@@ -618,7 +618,8 @@ pub fn run_memory_pressure(
             eprintln!(
                 "{MEM_PRESSURE_LABEL} / OakMap / {t} threads: {total} ops, {oom_seen} OOM, \
                  {} reclaims, frag {}%",
-                stats.emergency_reclaims, stats.fragmentation_pct
+                stats.emergency_reclaims,
+                fragmentation_pct(&stats)
             );
         }
         summary.push(Row {

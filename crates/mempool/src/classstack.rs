@@ -511,7 +511,7 @@ mod tests {
         let drained = rack.drain_all(&counters);
         assert_eq!(drained, vec![(LARGE_MAX_PADDED, (1, 4096))]);
         assert_eq!(rack.held_bytes(), 0);
-        let snap = counters.snapshot(0, 0, Default::default(), 0, 0);
+        let snap = counters.snapshot(Default::default());
         assert_eq!(snap.class_stack_pushes, 2);
         assert_eq!(snap.class_stack_pops, 2);
     }
@@ -533,7 +533,7 @@ mod tests {
         let drained = rack.drain_all(&counters);
         assert_eq!(drained, vec![(2048, (1, 0))]);
         assert_eq!(rack.held_bytes(), 0);
-        let snap = counters.snapshot(0, 0, Default::default(), 0, 0);
+        let snap = counters.snapshot(Default::default());
         assert_eq!(snap.class_stack_pushes, 3);
         assert_eq!(snap.class_stack_pops, 3);
     }

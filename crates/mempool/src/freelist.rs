@@ -141,6 +141,14 @@ impl FreeList {
     /// Length of the largest free segment. With `free_bytes`, this bounds
     /// external fragmentation: the biggest allocation this arena can still
     /// satisfy, regardless of how many bytes are free in total.
+    //
+    // `#[inline]`: only `MemoryPool::stats` calls this. Instantiating its
+    // `BTreeMap` iterator in the caller's codegen unit, not next to
+    // `allocate`, leaves the first-fit scan as the one local user of
+    // `Iter::next`, which LLVM then inlines into the scan loop. Outlined,
+    // the loop pays a call per free segment (measured on the repo
+    // benchmark: `write-churn` `put_p50_ns` +24 %).
+    #[inline]
     pub fn largest_segment(&self) -> u32 {
         self.free.values().copied().max().unwrap_or(0)
     }

@@ -53,7 +53,7 @@ pub use header::{HeaderRef, LockLimit, LockState, DEFAULT_LOCK_WAIT, HEADER_SIZE
 pub use pool::{MemoryPool, PoolConfig};
 pub use refs::{SliceRef, MAX_ARENA_SIZE, MAX_BLOCKS, MAX_SLICE_LEN};
 pub use shared::{ArenaPool, ArenaPoolStats};
-pub use stats::PoolStats;
+pub use stats::{Merge, Metric, PoolStats};
 pub use value::{ReclamationPolicy, ScanLock, ValueBytes, ValueBytesMut, ValueStore};
 
 /// Canonical failpoint sites declared by this crate (see the `failpoints`

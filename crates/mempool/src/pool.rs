@@ -23,7 +23,7 @@ use crate::freelist::{round_up, FreeList};
 use crate::magazine::{thread_slot, CachedSlice, MagazineRack, MAG_MAX_PADDED, REFILL_BATCH};
 use crate::refs::{SliceRef, MAX_BLOCKS, MAX_SLICE_LEN};
 use crate::shared::ArenaPool;
-use crate::stats::{Counters, FreeListStats, PoolStats};
+use crate::stats::{Counters, PoolStats};
 
 /// Deals each new pool onto a reservoir lane round-robin, so the shards of
 /// a sharded map (constructed back to back) land on distinct lanes.
@@ -745,100 +745,27 @@ impl MemoryPool {
     /// (briefly locking each) to report exact free-space fragmentation.
     pub fn stats(&self) -> PoolStats {
         let n = self.nblocks.load(Ordering::Acquire);
-        let mut fl = FreeListStats::default();
-        let mut initialized = 0u64;
+        let mut gauges = PoolStats {
+            magazine_bytes: self.rack.as_ref().map_or(0, |r| r.held_bytes()),
+            class_stack_bytes: self.stacks.as_ref().map_or(0, |s| s.held_bytes()),
+            ..PoolStats::default()
+        };
         for i in 0..n {
             // Skip a claimed slot still mid-publish by a growing thread.
             let Some(block) = self.blocks[i].get() else {
                 continue;
             };
-            initialized += 1;
+            gauges.arenas += 1;
             let free = block.free.lock();
-            fl.free_bytes += free.free_bytes();
-            fl.free_segments += free.segment_count() as u64;
-            fl.largest_free_segment = fl.largest_free_segment.max(free.largest_segment() as u64);
+            gauges.free_bytes += free.free_bytes();
+            gauges.free_segments += free.segment_count() as u64;
+            gauges.largest_free_segment = gauges
+                .largest_free_segment
+                .max(free.largest_segment() as u64);
         }
-        let magazine_bytes = self.rack.as_ref().map_or(0, |r| r.held_bytes());
-        let class_stack_bytes = self.stacks.as_ref().map_or(0, |s| s.held_bytes());
-        self.counters.snapshot(
-            initialized,
-            self.config.arena_size as u64,
-            fl,
-            magazine_bytes,
-            class_stack_bytes,
-        )
-    }
-
-    /// Records an off-heap key-byte dereference performed by chunk search.
-    /// Called by the map layer; kept here so the counter travels with the
-    /// rest of the pool's hot-path statistics.
-    #[inline]
-    pub fn note_key_deref(&self) {
-        self.counters.offheap_key_derefs.incr();
-    }
-
-    /// Records that an owner of this pool ran an emergency reclamation
-    /// pass after hitting [`AllocError::PoolExhausted`].
-    pub fn note_emergency_reclaim(&self) {
-        self.counters
-            .emergency_reclaims
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records that an operation surfaced an out-of-memory failure to the
-    /// caller even after emergency reclamation.
-    pub fn note_oom_failure(&self) {
-        self.counters.oom_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one budgeted retry (a backoff sleep followed by a fresh
-    /// attempt) taken by an owner of this pool under its retry policy.
-    #[inline]
-    pub fn note_op_retry(&self) {
-        self.counters.op_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records that an operation surfaced `DeadlineExceeded` to its caller.
-    pub fn note_deadline_exceeded(&self) {
-        self.counters
-            .deadline_exceeded
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a write rejected early (`Overloaded`) by the degraded-mode
-    /// controller.
-    pub fn note_overload_shed(&self) {
-        self.counters.overload_sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a scan shed (`Overloaded`) by the degraded-mode controller.
-    pub fn note_scan_shed(&self) {
-        self.counters.scan_sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one chunk-batch snapshot taken by the batch scan pipeline.
-    /// Called once per batch, never per entry, so the accounting cost is
-    /// amortized like the staleness check it counts.
-    #[inline]
-    pub fn note_scan_chunk_batch(&self) {
-        self.counters.scan_chunk_batches.incr();
-    }
-
-    /// Records a batch refill that found its chunk changed (revision stamp
-    /// advanced or replacement published) and had to re-locate via the
-    /// index.
-    #[inline]
-    pub fn note_scan_revalidation(&self) {
-        self.counters
-            .scan_revalidations
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a batch refill that reused the scan cursor's on-heap buffer
-    /// capacity instead of growing a fresh allocation.
-    #[inline]
-    pub fn note_scan_buffer_reuse(&self) {
-        self.counters.scan_buffer_reuses.incr();
+        gauges.reserved_bytes = gauges.arenas * self.config.arena_size as u64;
+        gauges.largest_free_segment_sum = gauges.largest_free_segment;
+        self.counters.snapshot(gauges)
     }
 
     pub(crate) fn counters(&self) -> &Counters {

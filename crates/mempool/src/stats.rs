@@ -6,6 +6,39 @@
 //! produced without walking the data structure. Free-space fragmentation
 //! figures are gathered by briefly walking the per-arena free lists in
 //! [`MemoryPool::stats`](crate::MemoryPool::stats).
+//!
+//! # The metric table
+//!
+//! Every pool metric is declared exactly once, as one row of the
+//! `pool_metrics!` invocation below; adding a metric is one row plus its
+//! increment site. A row reads
+//!
+//! ```text
+//! /// doc comment (becomes the `PoolStats` field doc)
+//! <storage> <merge> <name> [incident] => note_fn;
+//! ```
+//!
+//! - **storage** — `striped`: a hot per-operation counter, one 8-lane
+//!   [`Striped`] field of `Counters`, so the accounting never becomes the
+//!   shared cache line it measures; `atomic`: a rare-event counter, one
+//!   `AtomicU64` field of `Counters`; `gauge`: no stored counter —
+//!   [`MemoryPool::stats`](crate::MemoryPool::stats) measures it at
+//!   snapshot time.
+//! - **merge** — how [`PoolStats::merged`] combines the row across pools:
+//!   `sum` or `max`.
+//! - **`[incident]`** (optional) — non-zero means something went wrong
+//!   (contention abort, failed allocation, shed); reports surface these
+//!   rows beside throughput and keep quiet about healthy traffic counters.
+//! - **`=> note_fn`** (optional) — the counter is bumped by the map layer;
+//!   generates `pub fn note_fn(&self)` on
+//!   [`MemoryPool`](crate::MemoryPool).
+//!
+//! From the table the macro generates `Counters`, its snapshot read,
+//! [`PoolStats`] (one `pub u64` field per row), [`PoolStats::merged`],
+//! [`PoolStats::METRICS`] / [`PoolStats::values`] (what exporters iterate)
+//! and the `note_*` methods. Everything is expanded at compile time into
+//! plain field accesses: no lookup by name or index happens on an
+//! increment or in `stats()`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -53,296 +86,281 @@ impl Striped {
     }
 }
 
-/// Internal atomic counters owned by the pool.
-/// Hot per-operation counters (every alloc/free bumps several) are
-/// [`Striped`] so the accounting itself never becomes the shared cache
-/// line that serializes the threads it measures; rare-event counters
-/// (aborts, failures, sheds) stay single `AtomicU64`s.
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) allocated_bytes: Striped,
-    pub(crate) freed_bytes: Striped,
-    pub(crate) alloc_count: Striped,
-    pub(crate) free_count: Striped,
-    pub(crate) header_bytes: Striped,
-    pub(crate) lock_retries: Striped,
-    pub(crate) contended_aborts: AtomicU64,
-    pub(crate) failed_allocs: AtomicU64,
-    pub(crate) poisoned_values: AtomicU64,
-    /// Maintained at snapshot time from the striped allocated/freed sums
-    /// (a per-alloc `fetch_max` would re-sum eight lanes on every call).
-    /// The reported peak is therefore the highest live footprint *seen by
-    /// any snapshot*, which is what footprint reporting reads.
-    pub(crate) peak_live_bytes: AtomicU64,
-    pub(crate) emergency_reclaims: AtomicU64,
-    pub(crate) oom_failures: AtomicU64,
-    pub(crate) offheap_key_derefs: Striped,
-    pub(crate) freelist_lock_acquires: Striped,
-    pub(crate) magazine_hits: Striped,
-    pub(crate) magazine_refills: Striped,
-    pub(crate) magazine_flushes: Striped,
-    pub(crate) class_stack_pushes: Striped,
-    pub(crate) class_stack_pops: Striped,
-    pub(crate) cas_retries: Striped,
-    pub(crate) lockfree_refills: Striped,
-    pub(crate) reservoir_takes: AtomicU64,
-    pub(crate) reservoir_returns: AtomicU64,
-    pub(crate) reservoir_cas_retries: AtomicU64,
-    pub(crate) reservoir_steals: AtomicU64,
-    pub(crate) op_retries: AtomicU64,
-    pub(crate) deadline_exceeded: AtomicU64,
-    pub(crate) overload_sheds: AtomicU64,
-    pub(crate) scan_sheds: AtomicU64,
-    pub(crate) scan_chunk_batches: Striped,
-    pub(crate) scan_revalidations: AtomicU64,
-    pub(crate) scan_buffer_reuses: Striped,
+/// How [`PoolStats::merged`] combines one metric across pools.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// Field-wise sum.
+    Sum,
+    /// Maximum of the two sides.
+    Max,
 }
 
-/// Free-list aggregates gathered by walking the arenas.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FreeListStats {
-    pub(crate) free_bytes: u64,
-    pub(crate) free_segments: u64,
-    pub(crate) largest_free_segment: u64,
+/// One row of the metric table, as exporters see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Metric {
+    /// The [`PoolStats`] field name; exporters use it as the column / key.
+    pub name: &'static str,
+    /// How the metric merges across pools.
+    pub merge: Merge,
+    /// Whether a non-zero value means something went wrong.
+    pub incident: bool,
 }
 
-impl Counters {
-    pub(crate) fn snapshot(
-        &self,
-        arenas: u64,
-        arena_size: u64,
-        fl: FreeListStats,
-        magazine_bytes: u64,
-        class_stack_bytes: u64,
-    ) -> PoolStats {
-        let allocated = self.allocated_bytes.sum();
-        let freed = self.freed_bytes.sum();
-        let live = allocated.saturating_sub(freed);
-        // Snapshot-time high-water mark (see the field comment).
-        let peak = self
-            .peak_live_bytes
-            .fetch_max(live, Ordering::Relaxed)
-            .max(live);
-        PoolStats {
-            arenas,
-            reserved_bytes: arenas * arena_size,
-            live_bytes: live,
-            allocated_bytes: allocated,
-            freed_bytes: freed,
-            alloc_count: self.alloc_count.sum(),
-            free_count: self.free_count.sum(),
-            header_bytes: self.header_bytes.sum(),
-            lock_retries: self.lock_retries.sum(),
-            contended_aborts: self.contended_aborts.load(Ordering::Relaxed),
-            failed_allocs: self.failed_allocs.load(Ordering::Relaxed),
-            poisoned_values: self.poisoned_values.load(Ordering::Relaxed),
-            free_bytes: fl.free_bytes,
-            free_segments: fl.free_segments,
-            largest_free_segment: fl.largest_free_segment,
-            peak_live_bytes: peak,
-            emergency_reclaims: self.emergency_reclaims.load(Ordering::Relaxed),
-            oom_failures: self.oom_failures.load(Ordering::Relaxed),
-            offheap_key_derefs: self.offheap_key_derefs.sum(),
-            freelist_lock_acquires: self.freelist_lock_acquires.sum(),
-            magazine_hits: self.magazine_hits.sum(),
-            magazine_refills: self.magazine_refills.sum(),
-            magazine_flushes: self.magazine_flushes.sum(),
-            magazine_bytes,
-            class_stack_pushes: self.class_stack_pushes.sum(),
-            class_stack_pops: self.class_stack_pops.sum(),
-            cas_retries: self.cas_retries.sum(),
-            lockfree_refills: self.lockfree_refills.sum(),
-            reservoir_takes: self.reservoir_takes.load(Ordering::Relaxed),
-            reservoir_returns: self.reservoir_returns.load(Ordering::Relaxed),
-            reservoir_cas_retries: self.reservoir_cas_retries.load(Ordering::Relaxed),
-            reservoir_steals: self.reservoir_steals.load(Ordering::Relaxed),
-            class_stack_bytes,
-            op_retries: self.op_retries.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            overload_sheds: self.overload_sheds.load(Ordering::Relaxed),
-            scan_sheds: self.scan_sheds.load(Ordering::Relaxed),
-            scan_chunk_batches: self.scan_chunk_batches.sum(),
-            scan_revalidations: self.scan_revalidations.load(Ordering::Relaxed),
-            scan_buffer_reuses: self.scan_buffer_reuses.sum(),
+macro_rules! pool_metrics {
+    // `Counters`: one field per `striped` / `atomic` row, none per gauge.
+    (@counters [$($fields:tt)*]) => {
+        /// Internal atomic counters owned by the pool.
+        #[derive(Debug, Default)]
+        pub(crate) struct Counters { $($fields)* }
+    };
+    (@counters [$($fields:tt)*] striped $name:ident $($rest:tt)*) => {
+        pool_metrics!(@counters [$($fields)* pub(crate) $name: Striped,] $($rest)*);
+    };
+    (@counters [$($fields:tt)*] atomic $name:ident $($rest:tt)*) => {
+        pool_metrics!(@counters [$($fields)* pub(crate) $name: AtomicU64,] $($rest)*);
+    };
+    (@counters [$($fields:tt)*] gauge $name:ident $($rest:tt)*) => {
+        pool_metrics!(@counters [$($fields)*] $($rest)*);
+    };
+
+    (@read striped $counter:expr, $gauge:expr) => { $counter.sum() };
+    (@read atomic $counter:expr, $gauge:expr) => { $counter.load(Ordering::Relaxed) };
+    (@read gauge $counter:expr, $gauge:expr) => { $gauge };
+
+    (@bump striped $counter:expr) => { $counter.incr() };
+    (@bump atomic $counter:expr) => { $counter.fetch_add(1, Ordering::Relaxed) };
+
+    (@rule sum) => { Merge::Sum };
+    (@rule max) => { Merge::Max };
+    (@merge sum $a:expr, $b:expr) => { $a += $b };
+    (@merge max $a:expr, $b:expr) => { $a = $a.max($b) };
+
+    (@incident) => { false };
+    (@incident incident) => { true };
+
+    ($(
+        $(#[$doc:meta])*
+        $storage:ident $merge:ident $name:ident $([$flag:ident])? $(=> $note:ident)?;
+    )*) => {
+        pool_metrics!(@counters [] $($storage $name)*);
+
+        impl Counters {
+            /// Reads every stored counter; gauge rows are taken from `gauges`.
+            fn read(&self, gauges: PoolStats) -> PoolStats {
+                PoolStats {
+                    $($name: pool_metrics!(@read $storage self.$name, gauges.$name),)*
+                }
+            }
         }
-    }
+
+        /// A point-in-time snapshot of pool memory usage.
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct PoolStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl PoolStats {
+            /// One descriptor per field, in declaration order: what the
+            /// report exporters iterate instead of naming fields.
+            pub const METRICS: &'static [Metric] = &[
+                $(Metric {
+                    name: stringify!($name),
+                    merge: pool_metrics!(@rule $merge),
+                    incident: pool_metrics!(@incident $($flag)?),
+                },)*
+            ];
+
+            /// Every metric with its value, in [`METRICS`](Self::METRICS)
+            /// order.
+            pub fn values(&self) -> impl Iterator<Item = (&'static Metric, u64)> {
+                Self::METRICS.iter().zip([$(self.$name),*])
+            }
+
+            /// Builds a snapshot whose `i`-th metric (in
+            /// [`METRICS`](Self::METRICS) order) is `f(i)`.
+            pub fn from_fn(mut f: impl FnMut(usize) -> u64) -> PoolStats {
+                let mut i = 0;
+                let mut next = || {
+                    i += 1;
+                    f(i - 1)
+                };
+                PoolStats { $($name: next(),)* }
+            }
+
+            /// Merges two snapshots by each metric's rule, for aggregating
+            /// the footprint of several pools (e.g. the shards of a sharded
+            /// map). Note that pools drawing arenas from one shared
+            /// [`ArenaPool`](crate::ArenaPool) reserve disjoint arenas, so
+            /// summing `reserved_bytes` stays exact. Every row sums except
+            /// `largest_free_segment`, which takes the max (it answers
+            /// "what is the biggest allocation any pool can satisfy").
+            #[must_use]
+            pub fn merged(mut self, other: &PoolStats) -> PoolStats {
+                $(pool_metrics!(@merge $merge self.$name, other.$name);)*
+                self
+            }
+        }
+
+        /// Counters bumped by the map layer that owns the pool; they are
+        /// kept here so they travel with the rest of the pool's statistics.
+        impl crate::MemoryPool {
+            $($(
+                #[doc = concat!("Records one [`PoolStats::", stringify!($name), "`] event.")]
+                #[inline]
+                pub fn $note(&self) {
+                    pool_metrics!(@bump $storage self.counters().$name);
+                }
+            )?)*
+        }
+    };
 }
 
-/// A point-in-time snapshot of pool memory usage.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
+pool_metrics! {
     /// Number of arenas currently reserved.
-    pub arenas: u64,
+    gauge   sum arenas;
     /// Total bytes reserved from the OS (arenas × arena size). This is the
     /// pool's RAM footprint.
-    pub reserved_bytes: u64,
+    gauge   sum reserved_bytes;
     /// Bytes currently allocated to live slices (granularity-rounded).
-    pub live_bytes: u64,
+    gauge   sum live_bytes;
     /// Cumulative bytes ever allocated.
-    pub allocated_bytes: u64,
+    striped sum allocated_bytes;
     /// Cumulative bytes ever freed.
-    pub freed_bytes: u64,
+    striped sum freed_bytes;
     /// Number of allocations performed.
-    pub alloc_count: u64,
+    striped sum alloc_count;
     /// Number of frees performed.
-    pub free_count: u64,
+    striped sum free_count;
     /// Bytes consumed by value headers (never reclaimed by the default
     /// memory manager, per paper §3.3).
-    pub header_bytes: u64,
+    striped sum header_bytes;
     /// Header-lock acquisition attempts that found the lock busy and had to
     /// back off (spin/yield/sleep rounds, summed over all acquisitions).
-    pub lock_retries: u64,
+    striped sum lock_retries [incident];
     /// Header-lock acquisitions abandoned after exhausting the bounded
     /// backoff budget ([`AccessError::Contended`](crate::AccessError)).
-    pub contended_aborts: u64,
+    atomic  sum contended_aborts [incident];
     /// Allocation requests that returned an error (exhaustion, oversize,
     /// injected faults, internal errors).
-    pub failed_allocs: u64,
+    atomic  sum failed_allocs [incident];
     /// Values logically deleted by the panic-safety guard because a user
     /// closure panicked inside `compute` while holding the write lock.
-    pub poisoned_values: u64,
+    atomic  sum poisoned_values [incident];
     /// Bytes currently on the free lists across all reserved arenas.
-    pub free_bytes: u64,
+    gauge   sum free_bytes;
     /// Number of free segments across all arenas (external-fragmentation
     /// indicator: more segments for the same `free_bytes` is worse).
-    pub free_segments: u64,
+    gauge   sum free_segments;
     /// Largest single free segment in any arena — the biggest allocation
     /// the pool can satisfy without reserving a new arena.
-    pub largest_free_segment: u64,
+    gauge   max largest_free_segment;
+    /// Each pool's largest free segment, summed when snapshots merge (for
+    /// one pool it equals `largest_free_segment`).
+    /// [`fragmentation`](PoolStats::fragmentation) is computed from this,
+    /// so N compact pools merge to a compact whole instead of `1 − 1/N`.
+    gauge   sum largest_free_segment_sum;
     /// High-water mark of `live_bytes` (low-watermark of available space).
-    pub peak_live_bytes: u64,
+    atomic  sum peak_live_bytes;
     /// Emergency reclamation passes run in response to pool exhaustion.
-    pub emergency_reclaims: u64,
+    atomic  sum emergency_reclaims [incident] => note_emergency_reclaim;
     /// Operations that surfaced out-of-memory to the caller even after
     /// emergency reclamation.
-    pub oom_failures: u64,
+    atomic  sum oom_failures [incident] => note_oom_failure;
     /// Off-heap key-byte dereferences performed by chunk search
     /// (`pool.slice()` on a key). The key-prefix cache exists to shrink
     /// this number; it is the primary hot-path proof counter.
-    pub offheap_key_derefs: u64,
+    striped sum offheap_key_derefs => note_key_deref;
     /// Times an allocation or free path locked a per-arena free list.
     /// With magazines enabled, refills/flushes amortize many slices per
     /// acquisition, so this falls far below `alloc_count + free_count`.
-    pub freelist_lock_acquires: u64,
+    striped sum freelist_lock_acquires;
     /// Allocations served from a thread-affine magazine without touching
     /// any free-list lock.
-    pub magazine_hits: u64,
+    striped sum magazine_hits;
     /// Magazine refills (each grabs a batch of slices under one lock).
-    pub magazine_refills: u64,
+    striped sum magazine_refills;
     /// Magazine flushes (overflow trims plus full emergency flushes).
-    pub magazine_flushes: u64,
+    striped sum magazine_flushes;
     /// Bytes currently parked in magazines at snapshot time: free capacity
     /// that is not on any free list (counted as free, not leaked).
-    pub magazine_bytes: u64,
+    gauge   sum magazine_bytes;
     /// Slices pushed onto the lock-free per-class CAS stacks (frees and
     /// magazine overflow trims that avoided the free-list mutex).
-    pub class_stack_pushes: u64,
+    striped sum class_stack_pushes;
     /// Slices popped from the lock-free per-class CAS stacks (allocations
     /// and magazine refills that avoided the free-list mutex).
-    pub class_stack_pops: u64,
+    striped sum class_stack_pops;
     /// Failed head CASes retried by the class-stack push/pop loops: the
     /// lock-free path's contention indicator (compare with
     /// `freelist_lock_acquires`, the mutex path's).
-    pub cas_retries: u64,
+    striped sum cas_retries;
     /// Magazine refills served from a class stack instead of a free-list
     /// lock (each banks up to a refill batch of slices without a mutex).
-    pub lockfree_refills: u64,
+    striped sum lockfree_refills;
     /// Arenas this pool took from the shared lock-free reservoir
     /// ([`ArenaPool`](crate::ArenaPool)). Zero for private-reservation
     /// pools.
-    pub reservoir_takes: u64,
+    atomic  sum reservoir_takes;
     /// Arenas this pool returned to the shared reservoir (all of them, at
     /// drop, plus growth-race losers).
-    pub reservoir_returns: u64,
+    atomic  sum reservoir_returns;
     /// Failed head CASes retried by this pool's reservoir take/give-back
     /// calls. The reservoir has no mutex; this is its only contention
     /// counter, and it stays ≈ 0 when shards keep to their own lanes.
-    pub reservoir_cas_retries: u64,
+    atomic  sum reservoir_cas_retries;
     /// Reservoir takes that drained another pool's lane because this
     /// pool's own lane was empty (cross-shard arena traffic).
-    pub reservoir_steals: u64,
+    atomic  sum reservoir_steals;
     /// Bytes currently parked on the class stacks at snapshot time: free
     /// capacity not on any free list (counted as free, not leaked).
-    pub class_stack_bytes: u64,
+    gauge   sum class_stack_bytes;
     /// Budgeted operation retries taken under the jittered-backoff policy
     /// (each is one backoff sleep followed by a fresh attempt).
-    pub op_retries: u64,
+    atomic  sum op_retries => note_op_retry;
     /// Operations that surfaced `DeadlineExceeded`: their budget expired
     /// before the retry discipline converged.
-    pub deadline_exceeded: u64,
+    atomic  sum deadline_exceeded [incident] => note_deadline_exceeded;
     /// Writes rejected early with `Overloaded` by the degraded-mode
     /// controller (load shed before the OOM ladder could engage).
-    pub overload_sheds: u64,
+    atomic  sum overload_sheds [incident] => note_overload_shed;
     /// Scans shed by the degraded-mode controller (`Overloaded` surfaced
     /// to a budgeted scan).
-    pub scan_sheds: u64,
+    atomic  sum scan_sheds [incident] => note_scan_shed;
     /// Chunk batches snapshotted by the batch scan pipeline: each is one
     /// staleness/revision check amortized over every entry it yields (the
     /// one-check-per-chunk invariant's proof counter).
-    pub scan_chunk_batches: u64,
+    striped sum scan_chunk_batches => note_scan_chunk_batch;
     /// Batch refills that found their chunk changed (frozen/replaced,
     /// revision stamp advanced) and re-located via the index. Low values
     /// relative to `scan_chunk_batches` show scans revalidate only when a
     /// chunk actually changed.
-    pub scan_revalidations: u64,
+    atomic  sum scan_revalidations => note_scan_revalidation;
     /// Batch refills that reused the cursor's on-heap buffer capacity
     /// instead of allocating a fresh one (per-scan allocation is O(1), not
     /// O(entries)).
-    pub scan_buffer_reuses: u64,
+    striped sum scan_buffer_reuses => note_scan_buffer_reuse;
+}
+
+impl Counters {
+    /// Snapshots the counters. `gauges` carries the rows measured by the
+    /// caller at snapshot time (arena and free-space figures); `live_bytes`
+    /// and `peak_live_bytes` are derived here.
+    pub(crate) fn snapshot(&self, gauges: PoolStats) -> PoolStats {
+        let mut s = self.read(gauges);
+        s.live_bytes = s.allocated_bytes.saturating_sub(s.freed_bytes);
+        // The peak is maintained at snapshot time from the striped
+        // allocated/freed sums (a per-alloc `fetch_max` would re-sum eight
+        // lanes on every call), so it is the highest live footprint *seen
+        // by any snapshot*, which is what footprint reporting reads.
+        s.peak_live_bytes = self
+            .peak_live_bytes
+            .fetch_max(s.live_bytes, Ordering::Relaxed)
+            .max(s.live_bytes);
+        s
+    }
 }
 
 impl PoolStats {
-    /// Field-wise sum of two snapshots, for aggregating the footprint of
-    /// several pools (e.g. the shards of a sharded map). Note that pools
-    /// drawing arenas from one shared [`ArenaPool`](crate::ArenaPool)
-    /// reserve disjoint arenas, so summing `reserved_bytes` stays exact.
-    /// `largest_free_segment` takes the max (it answers "what is the
-    /// biggest allocation any pool can satisfy").
-    #[must_use]
-    pub fn merged(mut self, other: &PoolStats) -> PoolStats {
-        self.arenas += other.arenas;
-        self.reserved_bytes += other.reserved_bytes;
-        self.live_bytes += other.live_bytes;
-        self.allocated_bytes += other.allocated_bytes;
-        self.freed_bytes += other.freed_bytes;
-        self.alloc_count += other.alloc_count;
-        self.free_count += other.free_count;
-        self.header_bytes += other.header_bytes;
-        self.lock_retries += other.lock_retries;
-        self.contended_aborts += other.contended_aborts;
-        self.failed_allocs += other.failed_allocs;
-        self.poisoned_values += other.poisoned_values;
-        self.free_bytes += other.free_bytes;
-        self.free_segments += other.free_segments;
-        self.largest_free_segment = self.largest_free_segment.max(other.largest_free_segment);
-        self.peak_live_bytes += other.peak_live_bytes;
-        self.emergency_reclaims += other.emergency_reclaims;
-        self.oom_failures += other.oom_failures;
-        self.offheap_key_derefs += other.offheap_key_derefs;
-        self.freelist_lock_acquires += other.freelist_lock_acquires;
-        self.magazine_hits += other.magazine_hits;
-        self.magazine_refills += other.magazine_refills;
-        self.magazine_flushes += other.magazine_flushes;
-        self.magazine_bytes += other.magazine_bytes;
-        self.class_stack_pushes += other.class_stack_pushes;
-        self.class_stack_pops += other.class_stack_pops;
-        self.cas_retries += other.cas_retries;
-        self.lockfree_refills += other.lockfree_refills;
-        self.reservoir_takes += other.reservoir_takes;
-        self.reservoir_returns += other.reservoir_returns;
-        self.reservoir_cas_retries += other.reservoir_cas_retries;
-        self.reservoir_steals += other.reservoir_steals;
-        self.class_stack_bytes += other.class_stack_bytes;
-        self.op_retries += other.op_retries;
-        self.deadline_exceeded += other.deadline_exceeded;
-        self.overload_sheds += other.overload_sheds;
-        self.scan_sheds += other.scan_sheds;
-        self.scan_chunk_batches += other.scan_chunk_batches;
-        self.scan_revalidations += other.scan_revalidations;
-        self.scan_buffer_reuses += other.scan_buffer_reuses;
-        self
-    }
-
     /// Fraction of reserved memory holding live data; 0 for an empty pool.
     pub fn utilization(&self) -> f64 {
         if self.reserved_bytes == 0 {
@@ -353,14 +371,57 @@ impl PoolStats {
     }
 
     /// External fragmentation of the free space in `[0, 1]`: the fraction
-    /// of free bytes *not* in the largest free segment. 0 when all free
-    /// space is one contiguous run (or there is none); approaching 1 when
-    /// free space is shattered into many small holes.
+    /// of free bytes *not* in a pool's largest free segment. 0 when each
+    /// pool's free space is one contiguous run (or there is none);
+    /// approaching 1 when free space is shattered into many small holes.
     pub fn fragmentation(&self) -> f64 {
         if self.free_bytes == 0 {
             0.0
         } else {
-            1.0 - self.largest_free_segment as f64 / self.free_bytes as f64
+            1.0 - self.largest_free_segment_sum as f64 / self.free_bytes as f64
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{MemoryPool, PoolConfig};
+
+    #[test]
+    fn merged_applies_each_rows_rule() {
+        let a = PoolStats::from_fn(|i| i as u64 + 1);
+        let b = PoolStats::from_fn(|i| 100 + i as u64);
+        let merged = a.merged(&b);
+        for (i, (m, v)) in merged.values().enumerate() {
+            let (x, y) = (i as u64 + 1, 100 + i as u64);
+            let want = match m.merge {
+                Merge::Sum => x + y,
+                Merge::Max => x.max(y),
+            };
+            assert_eq!(v, want, "{}", m.name);
+        }
+        let max_rows: Vec<_> = PoolStats::METRICS
+            .iter()
+            .filter(|m| m.merge == Merge::Max)
+            .map(|m| m.name)
+            .collect();
+        assert_eq!(max_rows, ["largest_free_segment"]);
+    }
+
+    #[test]
+    fn compact_pools_merge_to_zero_fragmentation() {
+        let mut merged = PoolStats::default();
+        for _ in 0..4 {
+            let pool = MemoryPool::new(PoolConfig::small());
+            pool.allocate(100).expect("fresh pool allocates");
+            let s = pool.stats();
+            assert_eq!(s.free_segments, 1, "one free run per pool: {s:?}");
+            assert_eq!(s.largest_free_segment_sum, s.largest_free_segment);
+            assert_eq!(s.fragmentation(), 0.0);
+            merged = merged.merged(&s);
+        }
+        assert_eq!(merged.free_segments, 4);
+        assert_eq!(merged.fragmentation(), 0.0, "{merged:?}");
     }
 }

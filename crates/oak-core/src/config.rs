@@ -5,7 +5,6 @@ use std::time::Duration;
 
 use oak_mempool::{ArenaPool, PoolConfig, ReclamationPolicy, DEFAULT_LOCK_WAIT};
 
-use crate::budget::RetryPolicy;
 use crate::overload::OverloadConfig;
 
 /// Configuration for an [`OakMap`](crate::OakMap).
@@ -51,17 +50,6 @@ pub struct OakMapConfig {
     /// fine-grained interleaving surface the linearize harness drives.
     /// Both modes honour the same §1.1 scan-validity contract.
     pub batch_scan: bool,
-    /// Default deadline applied to every operation issued through the
-    /// unbudgeted public API (`put`, `get`, scans, …). `None` (the
-    /// default) preserves the historical contract: operations run to
-    /// completion however long that takes. The `*_budgeted` API variants
-    /// override this per call.
-    pub op_deadline: Option<Duration>,
-    /// Retry/backoff discipline for transient failures (header-lock
-    /// contention, injected faults) inside budgeted operations. The
-    /// default is the legacy discipline: unlimited immediate retries on
-    /// contention, injected faults surfaced.
-    pub retry: RetryPolicy,
     /// Bounded wall-clock budget for a single value-header lock
     /// acquisition before the map gives up with
     /// [`OakError::Contended`](crate::OakError). Clamped further by the
@@ -82,8 +70,6 @@ impl Default for OakMapConfig {
             reclamation: ReclamationPolicy::RetainHeaders,
             prefix_cache: true,
             batch_scan: true,
-            op_deadline: None,
-            retry: RetryPolicy::default(),
             lock_wait: DEFAULT_LOCK_WAIT,
             overload: OverloadConfig::default(),
         }
@@ -136,18 +122,6 @@ impl OakMapConfig {
     /// off).
     pub fn batch_scan(mut self, on: bool) -> Self {
         self.batch_scan = on;
-        self
-    }
-
-    /// Default per-operation deadline for the unbudgeted public API.
-    pub fn op_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.op_deadline = deadline;
-        self
-    }
-
-    /// Retry/backoff policy for transient failures inside operations.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 

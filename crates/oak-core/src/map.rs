@@ -9,11 +9,9 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use oak_mempool::{MemoryPool, PoolStats, SliceRef, ValueStore};
 
-use crate::budget::OpBudget;
 use crate::chunk::Chunk;
 use crate::cmp::{KeyComparator, Lexicographic};
 use crate::config::OakMapConfig;
@@ -134,17 +132,6 @@ impl<C: KeyComparator> OakMap<C> {
             rebalances: AtomicU64::new(0),
             reclaim,
             overload,
-        }
-    }
-
-    /// The budget the unbudgeted public API runs under, derived from
-    /// [`OakMapConfig::op_deadline`] and [`OakMapConfig::retry`]. With the
-    /// default configuration this is [`OpBudget::unbounded`] and consults
-    /// no clock.
-    pub(crate) fn default_budget(&self) -> OpBudget {
-        OpBudget {
-            deadline: self.config.op_deadline.map(|d| Instant::now() + d),
-            policy: self.config.retry,
         }
     }
 

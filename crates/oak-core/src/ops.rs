@@ -121,7 +121,7 @@ impl<C: KeyComparator> OakMap<C> {
     /// Unconditionally associates `key` with `value` (ZC `put`: does not
     /// return the old value, §2.2).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), OakError> {
-        self.do_put(key, value, PutOp::Put, &self.default_budget())
+        self.do_put(key, value, PutOp::Put, &OpBudget::unbounded())
             .map(|_| ())
     }
 
@@ -138,7 +138,7 @@ impl<C: KeyComparator> OakMap<C> {
     /// Associates `key` with `value` if absent; returns whether this call
     /// inserted.
     pub fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, OakError> {
-        self.do_put(key, value, PutOp::PutIfAbsent, &self.default_budget())
+        self.do_put(key, value, PutOp::PutIfAbsent, &OpBudget::unbounded())
     }
 
     /// [`put_if_absent`](OakMap::put_if_absent) under an explicit budget.
@@ -160,7 +160,7 @@ impl<C: KeyComparator> OakMap<C> {
         value: &[u8],
         f: impl Fn(&mut OakWBuffer<'_>),
     ) -> Result<bool, OakError> {
-        self.do_put(key, value, PutOp::Compute(&f), &self.default_budget())
+        self.do_put(key, value, PutOp::Compute(&f), &OpBudget::unbounded())
     }
 
     /// Algorithm 2's `doPut`, with its `case 1` / `case 2` structure and
@@ -496,7 +496,7 @@ impl<C: KeyComparator> OakMap<C> {
     /// Atomically applies `f` to the value mapped to `key`, in place, under
     /// the value's write lock. Returns whether the value was present.
     pub fn compute_if_present(&self, key: &[u8], f: impl Fn(&mut OakWBuffer<'_>)) -> bool {
-        self.do_if_present(key, PresentOp::Compute(&f), &self.default_budget())
+        self.do_if_present(key, PresentOp::Compute(&f), &OpBudget::unbounded())
             .unwrap_or(false)
     }
 
@@ -513,7 +513,7 @@ impl<C: KeyComparator> OakMap<C> {
 
     /// Removes the mapping for `key`; returns whether this call removed it.
     pub fn remove(&self, key: &[u8]) -> bool {
-        self.do_if_present(key, PresentOp::Remove, &self.default_budget())
+        self.do_if_present(key, PresentOp::Remove, &OpBudget::unbounded())
             .unwrap_or(false)
     }
 
@@ -613,7 +613,7 @@ impl<C: KeyComparator> OakMap<C> {
     /// legacy `ConcurrentNavigableMap.remove` shape. Same structure as
     /// `do_if_present(Remove)` with a copying `v.remove`.
     pub(crate) fn remove_with_copy(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let budget = self.default_budget();
+        let budget = OpBudget::unbounded();
         let mut oom_budget = OOM_RECOVER_BUDGET;
         let mut retry = RetryState::new(key.as_ptr() as u64);
         loop {

@@ -96,6 +96,7 @@ fn main() {
             ops_per_thread: ops,
             keyspace,
             seed,
+            ..WorkloadCfg::default()
         };
         let map: Box<dyn OrderedKvMap> = if shards == 0 {
             Box::new(OakMap::with_config(config()))

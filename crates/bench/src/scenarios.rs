@@ -860,6 +860,27 @@ mod tests {
     }
 
     #[test]
+    fn get_zc_on_synchrobench_keys_stays_off_the_key_bytes() {
+        // A structural gate that needs no timing threshold: on
+        // synchrobench's own keys (20 zero-padded digits, so the first
+        // eight bytes never differ) a zero-copy get may dereference
+        // off-heap key bytes at most twice — the confirming compare of a
+        // hit plus slack — not once per binary-search probe (≈ 11).
+        let wl = WorkloadConfig::small();
+        let sc = SCENARIOS
+            .iter()
+            .find(|s| s.label == "4c-get-zc")
+            .expect("4c scenario registered");
+        let map = build("OakMap", PoolConfig::with_budget(8 << 20, 256 << 20), 4096);
+        ingest(map.as_ref(), &wl);
+        let derefs = || map.pool_stats().expect("oak stats").offheap_key_derefs;
+        let before = derefs();
+        let run = sustained(&map, &wl, sc.mix, 2, Duration::from_millis(200));
+        let per_get = (derefs() - before) as f64 / run.ops as f64;
+        assert!(run.ops > 0 && per_get <= 2.0, "{per_get} derefs per get");
+    }
+
+    #[test]
     fn range_scan_scenario_feeds_batch_counters() {
         // 4g smoke: batch mode must report chunk-snapshot and buffer-reuse
         // traffic through the robustness columns; per-entry mode must not

@@ -43,6 +43,20 @@ impl SplitMix64 {
     }
 }
 
+/// Key family of a workload.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum KeyShape {
+    /// `k000`, `k001`, …
+    #[default]
+    Short,
+    /// 20-digit zero-padded decimal ids straddling a power of ten (`95`,
+    /// `96`, …), every third one padded to 100 bytes: the benchmarks' key
+    /// shape, whose first eight bytes are all `'0'`. Oak's chunks cache
+    /// key prefixes relative to the leading bytes their keys share, which
+    /// differ on either side of the boundary.
+    PaddedIds,
+}
+
 /// Workload shape for [`run_recorded`].
 #[derive(Debug, Clone)]
 pub struct WorkloadCfg {
@@ -50,9 +64,11 @@ pub struct WorkloadCfg {
     pub threads: usize,
     /// Operations per thread (scans included).
     pub ops_per_thread: usize,
-    /// Distinct keys (`k000`, `k001`, …) — small keeps contention high
-    /// and per-key sub-histories within the checker's search cap.
+    /// Distinct keys — small keeps contention high and per-key
+    /// sub-histories within the checker's search cap.
     pub keyspace: usize,
+    /// What the keys look like.
+    pub keys: KeyShape,
     /// Base seed; thread `t` uses `seed ^ (t as u64 + 1) * GOLDEN`.
     pub seed: u64,
 }
@@ -63,13 +79,23 @@ impl Default for WorkloadCfg {
             threads: 4,
             ops_per_thread: 60,
             keyspace: 12,
+            keys: KeyShape::Short,
             seed: 0xda7a_ba5e,
         }
     }
 }
 
-fn key(i: u64) -> Vec<u8> {
-    format!("k{i:03}").into_bytes()
+fn key(shape: KeyShape, i: u64) -> Vec<u8> {
+    match shape {
+        KeyShape::Short => format!("k{i:03}").into_bytes(),
+        KeyShape::PaddedIds => {
+            let mut k = format!("{:020}", 95 + i).into_bytes();
+            if i.is_multiple_of(3) {
+                k.resize(100, b'k');
+            }
+            k
+        }
+    }
 }
 
 fn worker(
@@ -81,6 +107,7 @@ fn worker(
     let mut rng = SplitMix64(cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut rec = Recorder::new(map, clock, t);
     let ks = cfg.keyspace as u64;
+    let key = |i| key(cfg.keys, i);
     for _ in 0..cfg.ops_per_thread {
         let k = key(rng.below(ks));
         // Few distinct literals keep the scan checker's value closures

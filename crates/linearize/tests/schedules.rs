@@ -19,7 +19,7 @@
 
 use oak_core::{all_failpoint_sites, OakMap, OakMapConfig, OrderedKvMap, ShardedOakMap};
 use oak_failpoints::{scenario, Schedule};
-use oak_linearize::{run_and_check, WorkloadCfg};
+use oak_linearize::{run_and_check, KeyShape, WorkloadCfg};
 use oak_mempool::{PoolConfig, ReclamationPolicy};
 
 /// Tiny chunks: a handful of inserts triggers a rebalance, so the corpus
@@ -55,10 +55,15 @@ fn seeds(default: u64) -> u64 {
 }
 
 fn check_one(map: &dyn OrderedKvMap, seed: u64) {
+    check_keys(map, seed, KeyShape::Short);
+}
+
+fn check_keys(map: &dyn OrderedKvMap, seed: u64, keys: KeyShape) {
     let cfg = WorkloadCfg {
         threads: 3,
         ops_per_thread: 40,
         keyspace: 10,
+        keys,
         seed,
     };
     if let Err(v) = run_and_check(map, &cfg) {
@@ -95,5 +100,27 @@ fn corpus_no_faults() {
     for seed in 0..seeds(24) {
         let map = OakMap::with_config(OakMapConfig::small().chunk_capacity(8));
         check_one(&map, seed.wrapping_mul(0x9e37_79b9));
+    }
+}
+
+/// The benchmarks' key shape under faults: the ten ids straddle 100, so
+/// the (eight-entry) chunks on either side cache prefixes relative to
+/// different shared leading bytes while rebalances move keys between them.
+#[test]
+fn corpus_padded_ids() {
+    let _s = scenario();
+    for seed in 0..seeds(24) {
+        oak_failpoints::clear();
+        Schedule::generate(seed ^ 0x1d5, &all_failpoint_sites()).install();
+        let cfg = cramped_config(seed % 2 == 0);
+        if seed % 3 == 0 {
+            check_keys(
+                &ShardedOakMap::with_config(3, cfg),
+                seed,
+                KeyShape::PaddedIds,
+            );
+        } else {
+            check_keys(&OakMap::with_config(cfg), seed, KeyShape::PaddedIds);
+        }
     }
 }

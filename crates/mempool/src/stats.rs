@@ -267,7 +267,8 @@ pool_metrics! {
     /// emergency reclamation.
     atomic  sum oom_failures [incident] => note_oom_failure;
     /// Off-heap key-byte dereferences performed by chunk search
-    /// (`pool.slice()` on a key). The key-prefix cache exists to shrink
+    /// (`pool.slice()` on a key), and by a rebalance that has to derive a
+    /// key's cached prefix again. The key-prefix cache exists to shrink
     /// this number; it is the primary hot-path proof counter.
     striped sum offheap_key_derefs => note_key_deref;
     /// Times an allocation or free path locked a per-arena free list.

@@ -31,7 +31,7 @@
 //! | `Entry::key`        | Release / Acquire  | publication: the Release store (and the Release link CAS on `next`) makes the off-heap key bytes and the cached `prefix` visible to any searcher that Acquire-loads the entry |
 //! | `Entry::value`      | Release / Acquire, AcqRel CAS | same publication role, plus the value-CAS linearization points of Algorithms 2–3 |
 //! | `Entry::next`       | Release-CAS / Acquire | list splice = publication of the entry |
-//! | `Entry::prefix`     | Relaxed            | written before the publishing Release store of `key`, read only after an Acquire load reached the entry — the neighbouring Release/Acquire pair orders it, so the field itself needs no ordering; a reader that races ahead sees `0` = "no info" and falls back to a full compare (slow, never wrong) |
+//! | `Entry::prefix`     | Relaxed            | written before the publishing Release store of `key`, read only after an Acquire load reached the entry — the neighbouring Release/Acquire pair orders it, so the field itself needs no ordering; a reader that races ahead sees `0` = "no info" and falls back to a full compare (slow, never wrong). The chunk's `base` it is relative to is immutable and published with the chunk pointer |
 //! | `sync` (pub/freeze) | AcqRel / Acquire   | handshake: `unpublish`'s AcqRel decrement synchronizes every completed mutation with the freezer's Acquire drain loop — this is what makes frozen entries stable for copying, NOT the cursor below |
 //! | `alloc_cursor`      | Relaxed            | pure index reservation / monotone accounting: the fetch-add precedes the entry-field writes, so no ordering on it could ever publish them; readers of `allocated()` only gate heuristics (`needs_reorg`) or scan entries whose own `key` loads synchronize |
 //! | `live_hint`         | Relaxed            | monotone merge heuristic, tolerates drift by design |
@@ -44,6 +44,7 @@
 //! operations — its grace-period proof needs the store-load fences of a
 //! total order, and must not be weakened.
 
+use std::cmp::Ordering as KeyOrder;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -61,12 +62,13 @@ const FROZEN: u32 = 1 << 31;
 /// One slot of the entries array. `key` is written once before the entry is
 /// published (linked); `value` is the CAS target of Algorithms 2–3.
 ///
-/// `prefix` caches an order-preserving 64-bit prefix of the key
-/// ([`KeyComparator::prefix`]) *on-heap*, so searches can usually decide an
-/// inequality without dereferencing the off-heap key bytes (KiWi-style
-/// cache-resident in-chunk search). It is written once, before the entry is
+/// `prefix` caches an order-preserving 64-bit prefix of the key *on-heap*,
+/// so searches can usually decide an inequality without dereferencing the
+/// off-heap key bytes (KiWi-style cache-resident in-chunk search). The
+/// prefix is relative to the entry's chunk ([`Chunk::key_prefix`]) and
+/// means nothing outside it. It is written once, before the entry is
 /// published, exactly like `key`; `0` means "no prefix information" and
-/// forces a full compare. See `compare_entry_key` for the ordering
+/// forces a full compare. See [`Probe::cmp_entry`] for the ordering
 /// argument.
 pub(crate) struct Entry {
     key: AtomicU64,
@@ -84,6 +86,64 @@ impl Entry {
             prefix: AtomicU64::new(0),
         }
     }
+}
+
+/// Prefix of a key that sorts before every key starting with the chunk's
+/// base. `1` rather than `0`, which is taken by "no information".
+const BELOW_BASE: u64 = 1;
+/// Prefix of a key that sorts after every key starting with the chunk's
+/// base.
+const ABOVE_BASE: u64 = u64::MAX;
+
+/// A search key bound to one chunk: the key bytes plus their prefix
+/// relative to that chunk.
+///
+/// A cached prefix belongs to the chunk that produced it — two chunks skip
+/// different leading bytes, so the same key has different prefixes in
+/// each. The only way to compare a key against entries through their
+/// prefixes is therefore a `Probe`, which only [`Chunk::probe`] builds and
+/// which compares against entries of *its own* chunk: a cursor that hops
+/// to another chunk cannot carry a prefix along, it has to probe again.
+pub(crate) struct Probe<'a, C> {
+    chunk: &'a Chunk,
+    pool: &'a MemoryPool,
+    cmp: &'a C,
+    key: &'a [u8],
+    prefix: u64,
+}
+
+impl<C: KeyComparator> Probe<'_, C> {
+    /// Orders entry `idx` of the probe's chunk against the probe's key,
+    /// touching off-heap key bytes only on a prefix tie.
+    ///
+    /// Correctness: [`Chunk::key_prefix`] is monotone in the key, so
+    /// *strict* prefix inequality implies the same strict key order and
+    /// the early return is exact. Equal, zero, or missing prefixes decide
+    /// nothing and fall back to the full comparator — a stale or unwritten
+    /// (zero) prefix can therefore only cost a slow full compare, never a
+    /// wrong verdict.
+    #[inline]
+    pub(crate) fn cmp_entry(&self, idx: u32) -> KeyOrder {
+        if self.prefix != 0 {
+            let ep = self.chunk.entry_prefix(idx);
+            if ep != 0 && ep != self.prefix {
+                return ep.cmp(&self.prefix);
+            }
+        }
+        self.cmp
+            .compare(self.chunk.key_bytes(self.pool, idx), self.key)
+    }
+}
+
+/// A live entry lifted out of a frozen chunk by rebalance. Its cached
+/// prefix is relative to the chunk it came `from`, so
+/// [`Chunk::new_sorted`] carries it over only into a chunk with the same
+/// base and derives it afresh otherwise.
+pub(crate) struct Survivor<'a> {
+    pub(crate) key: SliceRef,
+    pub(crate) value: u64,
+    prefix: u64,
+    from: &'a Chunk,
 }
 
 /// Outcome of [`Chunk::ll_put_if_absent`].
@@ -138,6 +198,13 @@ impl BatchEntry {
 pub(crate) struct Chunk {
     /// Lower bound of this chunk's key range (invariant over its lifetime).
     pub(crate) min_key: Box<[u8]>,
+    /// What this chunk's cached prefixes are relative to (immutable):
+    /// `None` when the map's prefix cache is off (every prefix is `0`),
+    /// otherwise the leading bytes a key must start with for the eight
+    /// bytes after them to be its prefix — see [`Chunk::key_prefix`].
+    /// Empty unless rebalance found the chunk's sorted keys sharing a
+    /// leading run under a [bytewise](KeyComparator::bytewise) comparator.
+    base: Option<Box<[u8]>>,
     entries: Box<[Entry]>,
     /// Number of entries in the sorted prefix (immutable after creation).
     sorted_count: u32,
@@ -174,9 +241,11 @@ pub(crate) struct Chunk {
 
 impl Chunk {
     /// Creates an empty chunk (used for the initial chunk, `minKey` = −∞).
-    pub(crate) fn new_empty(capacity: u32, min_key: Box<[u8]>) -> Self {
+    /// Its prefixes are of whole keys, or absent without `prefix_cache`.
+    pub(crate) fn new_empty(capacity: u32, min_key: Box<[u8]>, prefix_cache: bool) -> Self {
         Chunk {
             min_key,
+            base: prefix_cache.then(Box::default),
             entries: (0..capacity).map(|_| Entry::empty()).collect(),
             sorted_count: 0,
             alloc_cursor: AtomicU32::new(0),
@@ -191,43 +260,54 @@ impl Chunk {
         }
     }
 
-    /// Creates a chunk pre-filled with a sorted prefix of
-    /// `(key, value, key_prefix)` triples (used by rebalance, which carries
-    /// the cached key prefixes of the old chunk's entries forward so the
-    /// new chunk's searches stay prefix-accelerated without re-reading any
-    /// off-heap key).
-    pub(crate) fn new_sorted(
+    /// Creates a chunk pre-filled with a sorted prefix of `items` (used by
+    /// rebalance).
+    ///
+    /// Under a [bytewise](KeyComparator::bytewise) comparator the chunk's
+    /// base is the leading run shared by its first and last item — and so,
+    /// the items being sorted, by all of them. An item whose old chunk had
+    /// the same base keeps its cached prefix, so a rebalance that leaves
+    /// the base alone re-reads no off-heap key; otherwise the prefix is
+    /// derived again from the key bytes (one read per item).
+    pub(crate) fn new_sorted<C: KeyComparator>(
         capacity: u32,
         min_key: Box<[u8]>,
-        items: &[(SliceRef, u64, u64)],
+        items: &[Survivor<'_>],
+        pool: &MemoryPool,
+        cmp: &C,
+        prefix_cache: bool,
     ) -> Self {
-        assert!(items.len() as u32 <= capacity);
-        let entries: Box<[Entry]> = (0..capacity).map(|_| Entry::empty()).collect();
-        for (i, &(k, v, p)) in items.iter().enumerate() {
-            entries[i].key.store(k.to_raw(), Ordering::Relaxed);
-            entries[i].value.store(v, Ordering::Relaxed);
-            entries[i].prefix.store(p, Ordering::Relaxed);
-            let nxt = if i + 1 < items.len() {
-                (i + 1) as u32
+        let n = items.len() as u32;
+        assert!(n <= capacity);
+        let mut chunk = Chunk::new_empty(capacity, min_key, prefix_cache);
+        if prefix_cache && cmp.bytewise() {
+            if let (Some(first), Some(last)) = (items.first(), items.last()) {
+                // SAFETY: key buffers are immutable and live.
+                let (a, b) = unsafe { (pool.slice(first.key), pool.slice(last.key)) };
+                let skip = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+                chunk.base = Some(a[..skip].into());
+            }
+        }
+        for (i, it) in items.iter().enumerate() {
+            let prefix = if it.from.base == chunk.base {
+                it.prefix
             } else {
-                NONE
+                pool.note_key_deref();
+                // SAFETY: key buffers are immutable and live.
+                chunk.key_prefix(cmp, unsafe { pool.slice(it.key) })
             };
-            entries[i].next.store(nxt, Ordering::Relaxed);
+            let e = &chunk.entries[i];
+            e.key.store(it.key.to_raw(), Ordering::Relaxed);
+            e.value.store(it.value, Ordering::Relaxed);
+            e.prefix.store(prefix, Ordering::Relaxed);
+            let nxt = if i as u32 + 1 < n { i as u32 + 1 } else { NONE };
+            e.next.store(nxt, Ordering::Relaxed);
         }
-        Chunk {
-            min_key,
-            entries,
-            sorted_count: items.len() as u32,
-            alloc_cursor: AtomicU32::new(items.len() as u32),
-            head: AtomicU32::new(if items.is_empty() { NONE } else { 0 }),
-            sync: AtomicU32::new(0),
-            live_hint: AtomicU32::new(items.len() as u32),
-            link_hint: AtomicU32::new(NONE),
-            revision: AtomicU64::new(0),
-            next: RwLock::new(None),
-            replacement: OnceLock::new(),
-            rebalance_lock: Mutex::new(()),
-        }
+        chunk.sorted_count = n;
+        *chunk.alloc_cursor.get_mut() = n;
+        *chunk.head.get_mut() = if n == 0 { NONE } else { 0 };
+        *chunk.live_hint.get_mut() = n;
+        chunk
     }
 
     pub(crate) fn capacity(&self) -> u32 {
@@ -443,36 +523,75 @@ impl Chunk {
     /// observed mid-publication would read the initial `0`, which is the
     /// "no information" value and merely costs a full compare.
     #[inline]
-    pub(crate) fn entry_prefix(&self, idx: u32) -> u64 {
+    fn entry_prefix(&self, idx: u32) -> u64 {
         self.entries[idx as usize].prefix.load(Ordering::Relaxed)
     }
 
-    /// Compares entry `idx`'s key against a search `key` whose cached
-    /// prefix is `kp` (`0` = unknown), touching off-heap key bytes only on
-    /// a prefix tie.
+    /// The one place a key's prefix relative to this chunk is computed
+    /// (`0` = no information).
     ///
-    /// Correctness: [`KeyComparator::prefix`] guarantees that *strict*
-    /// prefix inequality implies the same strict key order, so the early
-    /// return is exact. Equal, zero, or missing prefixes decide nothing
-    /// and fall back to the full comparator — a stale or unwritten (zero)
-    /// prefix can therefore only cost a slow full compare, never a wrong
-    /// verdict.
-    #[inline]
-    pub(crate) fn compare_entry_key<C: KeyComparator>(
-        &self,
-        pool: &MemoryPool,
-        cmp: &C,
-        idx: u32,
-        key: &[u8],
-        kp: u64,
-    ) -> std::cmp::Ordering {
-        if kp != 0 {
-            let ep = self.entry_prefix(idx);
-            if ep != 0 && ep != kp {
-                return ep.cmp(&kp);
-            }
+    /// A key that starts with the chunk's base maps to the comparator's
+    /// prefix of the bytes after it; a key that does not sorts before or
+    /// after *every* key that does, and maps to the matching end of the
+    /// range. The map is monotone — `a ≤ b` implies `prefix(a) ≤
+    /// prefix(b)` — which is all [`Probe::cmp_entry`] needs: a base is
+    /// only ever non-empty under a bytewise comparator, where for keys
+    /// `a`, `b` that both start with it `compare(a, b) ==
+    /// compare(a[skip..], b[skip..])`, so [`KeyComparator::prefix`]'s own
+    /// contract carries over to the suffixes. A badly chosen base
+    /// therefore costs ties (full compares), never a wrong order.
+    fn key_prefix<C: KeyComparator>(&self, cmp: &C, key: &[u8]) -> u64 {
+        let Some(base) = &self.base else {
+            return 0;
+        };
+        let skip = base.len();
+        match key[..key.len().min(skip)].cmp(base) {
+            KeyOrder::Equal => cmp.prefix(&key[skip..]).unwrap_or(0),
+            KeyOrder::Less => BELOW_BASE,
+            KeyOrder::Greater => ABOVE_BASE,
         }
-        cmp.compare(self.key_bytes(pool, idx), key)
+    }
+
+    /// Binds `key` to this chunk for prefix-accelerated comparisons
+    /// against its entries.
+    #[inline]
+    pub(crate) fn probe<'a, C: KeyComparator>(
+        &'a self,
+        pool: &'a MemoryPool,
+        cmp: &'a C,
+        key: &'a [u8],
+    ) -> Probe<'a, C> {
+        Probe {
+            chunk: self,
+            pool,
+            cmp,
+            key,
+            prefix: self.key_prefix(cmp, key),
+        }
+    }
+
+    /// Length of this chunk's base (test support).
+    #[cfg(test)]
+    pub(crate) fn skip(&self) -> usize {
+        self.base.as_ref().map_or(0, |b| b.len())
+    }
+
+    /// Quiescent check for [`OakMap::validate`](crate::OakMap::validate):
+    /// every linked entry's cached prefix is `0` or exactly what
+    /// [`key_prefix`](Self::key_prefix) derives from its key — a carried
+    /// or re-derived prefix that disagreed could misorder a search.
+    pub(crate) fn assert_prefixes<C: KeyComparator>(&self, pool: &MemoryPool, cmp: &C) {
+        let mut cur = self.head_entry();
+        while cur != NONE {
+            let cached = self.entry_prefix(cur);
+            // SAFETY: key buffers are immutable and live.
+            let kb = unsafe { pool.slice(self.key_ref(cur)) };
+            assert!(
+                cached == 0 || cached == self.key_prefix(cmp, kb),
+                "entry prefix disagrees with its key"
+            );
+            cur = self.entry_next(cur);
+        }
     }
 
     /// Compares the keys of two entries via their cached prefixes,
@@ -493,10 +612,15 @@ impl Chunk {
     }
 
     /// Allocates a fresh entry referring to `key_ref` (Algorithm 2 line
-    /// 28), caching `prefix` (`0` = none) alongside it. Returns `None`
-    /// when the chunk is full — the caller triggers a rebalance and
-    /// retries.
-    pub(crate) fn allocate_entry(&self, key_ref: SliceRef, prefix: u64) -> Option<u32> {
+    /// 28), caching the prefix of `key` — the bytes `key_ref` holds —
+    /// alongside it. Returns `None` when the chunk is full — the caller
+    /// triggers a rebalance and retries.
+    pub(crate) fn allocate_entry<C: KeyComparator>(
+        &self,
+        cmp: &C,
+        key_ref: SliceRef,
+        key: &[u8],
+    ) -> Option<u32> {
         // Injected exhaustion: the caller frees its speculative key and
         // rebalances, as if the chunk were full.
         oak_failpoints::fail_point!("chunk/allocate-entry", None);
@@ -511,7 +635,7 @@ impl Chunk {
             return None;
         }
         let e = &self.entries[idx as usize];
-        e.prefix.store(prefix, Ordering::Relaxed);
+        e.prefix.store(self.key_prefix(cmp, key), Ordering::Relaxed);
         e.key.store(key_ref.to_raw(), Ordering::Release);
         e.value.store(0, Ordering::Release);
         e.next.store(NONE, Ordering::Release);
@@ -523,17 +647,10 @@ impl Chunk {
     /// The flag reports whether the floor's key *equals* `key` — sorted
     /// keys are unique, so an `Equal` probe is necessarily the floor, and
     /// callers use the flag to skip a redundant re-compare of the floor
-    /// entry (one off-heap dereference per hit). `kp` is the search key's
-    /// cached prefix (`0` = unknown); probes consult the entries' cached
-    /// prefixes first and dereference off-heap key bytes only on prefix
-    /// ties.
-    fn prefix_floor<C: KeyComparator>(
-        &self,
-        pool: &MemoryPool,
-        cmp: &C,
-        key: &[u8],
-        kp: u64,
-    ) -> Option<(u32, bool)> {
+    /// entry (one off-heap dereference per hit). Each step consults the
+    /// entry's cached prefix first and dereferences off-heap key bytes
+    /// only on a prefix tie.
+    fn prefix_floor<C: KeyComparator>(&self, probe: &Probe<'_, C>) -> Option<(u32, bool)> {
         let n = self.sorted_count;
         if n == 0 {
             return None;
@@ -542,7 +659,7 @@ impl Chunk {
         let mut exact = false;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            match self.compare_entry_key(pool, cmp, mid, key, kp) {
+            match probe.cmp_entry(mid) {
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => {
                     exact = true;
@@ -566,8 +683,8 @@ impl Chunk {
         cmp: &C,
         key: &[u8],
     ) -> Option<u32> {
-        let kp = cmp.prefix(key).unwrap_or(0);
-        let mut cur = match self.prefix_floor(pool, cmp, key, kp) {
+        let probe = self.probe(pool, cmp, key);
+        let mut cur = match self.prefix_floor(&probe) {
             // The floor itself matched during the binary search.
             Some((i, true)) => return Some(i),
             // The floor compared strictly less: resume from its successor
@@ -588,7 +705,7 @@ impl Chunk {
             }
         };
         loop {
-            match self.compare_entry_key(pool, cmp, cur, key, kp) {
+            match probe.cmp_entry(cur) {
                 std::cmp::Ordering::Equal => return Some(cur),
                 std::cmp::Ordering::Greater => return None,
                 std::cmp::Ordering::Less => {
@@ -609,8 +726,8 @@ impl Chunk {
         cmp: &C,
         key: &[u8],
     ) -> u32 {
-        let kp = cmp.prefix(key).unwrap_or(0);
-        let mut cur = match self.prefix_floor(pool, cmp, key, kp) {
+        let probe = self.probe(pool, cmp, key);
+        let mut cur = match self.prefix_floor(&probe) {
             // Exact floor: it is itself the first entry ≥ `key`.
             Some((i, true)) => return i,
             // Floor compared strictly less: start the walk at its
@@ -619,7 +736,7 @@ impl Chunk {
             None => self.head_entry(),
         };
         while cur != NONE {
-            if self.compare_entry_key(pool, cmp, cur, key, kp) != std::cmp::Ordering::Less {
+            if probe.cmp_entry(cur) != std::cmp::Ordering::Less {
                 return cur;
             }
             cur = self.entry_next(cur);
@@ -636,16 +753,21 @@ impl Chunk {
         cmp: &C,
         new_idx: u32,
     ) -> LinkOutcome {
-        let new_key = self.key_bytes(pool, new_idx);
         // The new entry's prefix was cached by `allocate_entry`; reuse it
         // for the splice-position walk so prefix mismatches skip the
         // off-heap compare.
-        let kp = self.entry_prefix(new_idx);
+        let probe = Probe {
+            chunk: self,
+            pool,
+            cmp,
+            key: self.key_bytes(pool, new_idx),
+            prefix: self.entry_prefix(new_idx),
+        };
         loop {
             // Find (pred, succ) bracketing the new key; pred == NONE means
             // the head pointer is the predecessor link.
             let mut pred = NONE;
-            let mut succ = match self.prefix_floor(pool, cmp, new_key, kp) {
+            let mut succ = match self.prefix_floor(&probe) {
                 // The floor equals the new key: the key is already linked.
                 Some((i, true)) => return LinkOutcome::Found(i),
                 // The floor is strictly less; walk from it. (Equality is
@@ -660,8 +782,7 @@ impl Chunk {
             // hint when it lies strictly between pred and the new key.
             let hint = self.link_hint.load(Ordering::Acquire);
             if hint != NONE {
-                let hint_usable = self.compare_entry_key(pool, cmp, hint, new_key, kp)
-                    == std::cmp::Ordering::Less
+                let hint_usable = probe.cmp_entry(hint) == std::cmp::Ordering::Less
                     && (pred == NONE
                         || self.compare_entries(pool, cmp, pred, hint) == std::cmp::Ordering::Less);
                 if hint_usable {
@@ -670,7 +791,7 @@ impl Chunk {
                 }
             }
             while succ != NONE {
-                match self.compare_entry_key(pool, cmp, succ, new_key, kp) {
+                match probe.cmp_entry(succ) {
                     std::cmp::Ordering::Less => {
                         pred = succ;
                         succ = self.entry_next(succ);
@@ -713,11 +834,12 @@ impl Chunk {
     /// `(hbase, vptr, vlen)` to record (all-zero for "read at yield"), or
     /// `None` to skip a dead entry without leaving the walk.
     ///
-    /// `strict_after` skips entries ≤ the given `(key, prefix)` — the
-    /// cursor's resume bound after a hop or re-entry; since the list is
-    /// sorted the comparison stops being evaluated after the first entry
-    /// beyond the bound. `hi` is an upper bound `(key, prefix, inclusive)`
-    /// checked per entry through the cached prefixes; callers pass `None`
+    /// `strict_after` skips entries ≤ the given key — the cursor's resume
+    /// bound after a hop or re-entry; since the list is sorted the
+    /// comparison stops being evaluated after the first entry beyond the
+    /// bound. `hi` is an upper bound `(key, inclusive)` checked per entry
+    /// through the cached prefixes (both bounds are probed against this
+    /// chunk once per call); callers pass `None`
     /// when the successor chunk's `min_key` already proves the whole chunk
     /// in range (the chunk-range fast path — zero per-entry bound checks).
     ///
@@ -731,29 +853,30 @@ impl Chunk {
         pool: &MemoryPool,
         cmp: &C,
         start: u32,
-        strict_after: Option<(&[u8], u64)>,
-        hi: Option<(&[u8], u64, bool)>,
+        strict_after: Option<&[u8]>,
+        hi: Option<(&[u8], bool)>,
         max: usize,
         mut admit: impl FnMut(HeaderRef) -> Option<(usize, usize, u32)>,
         out: &mut Vec<BatchEntry>,
     ) -> (u32, bool) {
         let mut cur = start;
-        let mut skipping = strict_after;
+        let mut skipping = strict_after.map(|k| self.probe(pool, cmp, k));
+        let hi = hi.map(|(b, inclusive)| (self.probe(pool, cmp, b), inclusive));
         while cur != NONE {
             if out.len() >= max {
                 return (cur, false);
             }
-            if let Some((k, kp)) = skipping {
-                if self.compare_entry_key(pool, cmp, cur, k, kp) != std::cmp::Ordering::Greater {
+            if let Some(bound) = &skipping {
+                if bound.cmp_entry(cur) != std::cmp::Ordering::Greater {
                     cur = self.entry_next(cur);
                     continue;
                 }
                 // Sorted list: every later entry is beyond the bound too.
                 skipping = None;
             }
-            if let Some((b, bp, inclusive)) = hi {
-                let ord = self.compare_entry_key(pool, cmp, cur, b, bp);
-                let beyond = if inclusive {
+            if let Some((bound, inclusive)) = &hi {
+                let ord = bound.cmp_entry(cur);
+                let beyond = if *inclusive {
                     ord == std::cmp::Ordering::Greater
                 } else {
                     ord != std::cmp::Ordering::Less
@@ -801,10 +924,10 @@ impl Chunk {
     }
 
     /// Iterates the linked list once, splitting entries into live
-    /// `(key_ref, value_raw, key_prefix)` triples (key order, prefix
-    /// carried from the entry's on-heap cache so the successor chunk needs
-    /// no off-heap reads to stay accelerated) and the key refs of dead
-    /// entries (⊥ value or `keep` says deleted). Called by the rebalancer
+    /// [`Survivor`]s (key order, each with its cached prefix so a
+    /// successor chunk with the same base needs no off-heap reads to stay
+    /// accelerated) and the key refs of dead entries (⊥ value or `keep`
+    /// says deleted). Called by the rebalancer
     /// after freeze so the live/dead partition comes from a *single* walk:
     /// post-freeze an entry can still flip live→deleted (remove needs no
     /// publish), and two separate walks could then classify one key as
@@ -812,14 +935,19 @@ impl Chunk {
     pub(crate) fn partition_entries(
         &self,
         keep: impl Fn(u64) -> bool,
-    ) -> (Vec<(SliceRef, u64, u64)>, Vec<SliceRef>) {
+    ) -> (Vec<Survivor<'_>>, Vec<SliceRef>) {
         let mut live = Vec::with_capacity(self.allocated() as usize);
         let mut dead = Vec::new();
         let mut cur = self.head_entry();
         while cur != NONE {
             let v = self.value_raw(cur);
             if keep(v) {
-                live.push((self.key_ref(cur), v, self.entry_prefix(cur)));
+                live.push(Survivor {
+                    key: self.key_ref(cur),
+                    value: v,
+                    prefix: self.entry_prefix(cur),
+                    from: self,
+                });
             } else {
                 dead.push(self.key_ref(cur));
             }
@@ -875,11 +1003,28 @@ mod tests {
         r
     }
 
+    /// Sorted keys as rebalance would lift them out of `from`, values 1….
+    fn survivors<'a>(
+        from: &'a Chunk,
+        pool: &MemoryPool,
+        keys: impl Iterator<Item = String>,
+    ) -> Vec<Survivor<'a>> {
+        keys.enumerate()
+            .map(|(i, k)| Survivor {
+                key: alloc_key(pool, k.as_bytes()),
+                value: i as u64 + 1,
+                prefix: from.key_prefix(&Lexicographic, k.as_bytes()),
+                from,
+            })
+            .collect()
+    }
+
     /// Inserts a key with a dummy value reference and returns its index.
     fn insert(chunk: &Chunk, pool: &MemoryPool, key: &[u8], val: u64) -> u32 {
         let kr = alloc_key(pool, key);
-        let prefix = Lexicographic.prefix(key).unwrap_or(0);
-        let idx = chunk.allocate_entry(kr, prefix).expect("chunk not full");
+        let idx = chunk
+            .allocate_entry(&Lexicographic, kr, key)
+            .expect("chunk not full");
         match chunk.ll_put_if_absent(pool, &Lexicographic, idx) {
             LinkOutcome::Linked => {
                 assert!(chunk.cas_value(idx, 0, val));
@@ -891,9 +1036,14 @@ mod tests {
     }
 
     #[test]
+    fn entry_stays_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+    }
+
+    #[test]
     fn empty_chunk_lookup() {
         let p = pool();
-        let c = Chunk::new_empty(16, Box::new([]));
+        let c = Chunk::new_empty(16, Box::new([]), true);
         assert_eq!(c.lookup(&p, &Lexicographic, b"x"), None);
         assert_eq!(c.lower_bound(&p, &Lexicographic, b"x"), NONE);
     }
@@ -901,7 +1051,7 @@ mod tests {
     #[test]
     fn insert_and_lookup_bypasses() {
         let p = pool();
-        let c = Chunk::new_empty(16, Box::new([]));
+        let c = Chunk::new_empty(16, Box::new([]), true);
         for key in [b"m", b"c", b"x", b"a", b"t"] {
             insert(&c, &p, key, 7);
         }
@@ -919,12 +1069,10 @@ mod tests {
     #[test]
     fn duplicate_key_reports_existing() {
         let p = pool();
-        let c = Chunk::new_empty(16, Box::new([]));
+        let c = Chunk::new_empty(16, Box::new([]), true);
         let first = insert(&c, &p, b"dup", 1);
         let kr = alloc_key(&p, b"dup");
-        let idx = c
-            .allocate_entry(kr, Lexicographic.prefix(b"dup").unwrap())
-            .unwrap();
+        let idx = c.allocate_entry(&Lexicographic, kr, b"dup").unwrap();
         match c.ll_put_if_absent(&p, &Lexicographic, idx) {
             LinkOutcome::Found(i) => assert_eq!(i, first),
             _ => panic!("expected Found"),
@@ -934,15 +1082,13 @@ mod tests {
     #[test]
     fn sorted_chunk_binary_search() {
         let p = pool();
-        let items: Vec<(SliceRef, u64, u64)> = (0..50u32)
-            .map(|i| {
-                let key = format!("k{i:03}");
-                let pre = Lexicographic.prefix(key.as_bytes()).unwrap();
-                (alloc_key(&p, key.as_bytes()), i as u64 + 1, pre)
-            })
-            .collect();
-        let c = Chunk::new_sorted(64, Box::new([]), &items);
+        let src = Chunk::new_empty(1, Box::new([]), true);
+        let items = survivors(&src, &p, (0..50).map(|i| format!("k{i:03}")));
+        let c = Chunk::new_sorted(64, Box::new([]), &items, &p, &Lexicographic, true);
         assert_eq!(c.sorted_count(), 50);
+        // "k000".."k049" share "k0"; the prefixes were re-derived past it.
+        assert_eq!(c.skip(), 2);
+        c.assert_prefixes(&p, &Lexicographic);
         for i in 0..50u32 {
             let idx = c
                 .lookup(&p, &Lexicographic, format!("k{i:03}").as_bytes())
@@ -956,27 +1102,127 @@ mod tests {
         assert_eq!(c.value_raw(idx), 99);
     }
 
+    /// The invariant every prefix-decided comparison rests on: within one
+    /// chunk the key → prefix map is monotone, so two unequal non-zero
+    /// prefixes order their keys. Bases of every length, keys inside the
+    /// base, outside it on both sides, shorter than it, and with all-zero
+    /// tails (prefix `0`, "no information").
+    #[test]
+    fn relative_prefix_never_contradicts_key_order() {
+        let mut keys: Vec<Vec<u8>> = vec![vec![], vec![0], vec![0; 9], vec![255; 12]];
+        for stem in [&b"0000000000000001"[..], b"0000000000000002", b"00000000"] {
+            for cut in [0, 3, 8, stem.len()] {
+                for tail in [
+                    &b""[..],
+                    b"\0",
+                    b"\0\0\0\0\0\0\0\0",
+                    b"\0\0\0\0\0\0\0\x01",
+                    b"7",
+                    b"70",
+                    b"7\xff\xff\xff\xff\xff\xff\xff\xff",
+                ] {
+                    let mut k = stem[..cut].to_vec();
+                    k.extend_from_slice(tail);
+                    keys.push(k);
+                }
+            }
+        }
+        let stem = b"0000000000000001";
+        for skip in 0..=stem.len() {
+            let mut c = Chunk::new_empty(4, Box::new([]), true);
+            c.base = Some(stem[..skip].into());
+            for a in &keys {
+                for b in &keys {
+                    let pa = c.key_prefix(&Lexicographic, a);
+                    let pb = c.key_prefix(&Lexicographic, b);
+                    if pa != 0 && pb != 0 && pa != pb {
+                        assert_eq!(pa.cmp(&pb), a.cmp(b), "skip {skip}: {a:?} vs {b:?}");
+                    }
+                }
+            }
+        }
+        // Cache off: no information for any key.
+        let off = Chunk::new_empty(4, Box::new([]), false);
+        assert!(keys.iter().all(|k| off.key_prefix(&Lexicographic, k) == 0));
+    }
+
+    /// A replacement chunk with the same base carries cached prefixes; one
+    /// with a different base derives them again (one counted key read per
+    /// item) — either way they agree with the keys.
+    #[test]
+    fn new_sorted_carries_or_rederives_prefixes() {
+        let p = pool();
+        let src = Chunk::new_empty(1, Box::new([]), true);
+        let items = survivors(&src, &p, (0..40).map(|i| format!("id-{:04}", 95 + i)));
+        let wide = Chunk::new_sorted(64, Box::new([]), &items, &p, &Lexicographic, true);
+        assert_eq!(wide.skip(), 4, "id-0095..id-0134 share \"id-0\"");
+        wide.assert_prefixes(&p, &Lexicographic);
+
+        let (live, dead) = wide.partition_entries(|v| v != 0);
+        assert!(dead.is_empty());
+        let before = p.stats().offheap_key_derefs;
+        let same = Chunk::new_sorted(64, Box::new([]), &live, &p, &Lexicographic, true);
+        assert_eq!(same.skip(), 4);
+        assert_eq!(p.stats().offheap_key_derefs, before, "same base: carried");
+        same.assert_prefixes(&p, &Lexicographic);
+
+        // The upper half alone shares one more byte ("id-01").
+        let upper = &live[5..];
+        let narrow = Chunk::new_sorted(64, Box::new([]), upper, &p, &Lexicographic, true);
+        assert_eq!(narrow.skip(), 4 + 1);
+        assert_eq!(
+            p.stats().offheap_key_derefs - before,
+            upper.len() as u64,
+            "new base: one key read per item"
+        );
+        narrow.assert_prefixes(&p, &Lexicographic);
+        for i in 5..40u32 {
+            let k = format!("id-{:04}", 95 + i);
+            let idx = narrow
+                .lookup(&p, &Lexicographic, k.as_bytes())
+                .expect("present");
+            assert_eq!(narrow.value_raw(idx), i as u64 + 1);
+        }
+        // Keys outside the base on either side are still ordered right.
+        assert_eq!(narrow.lookup(&p, &Lexicographic, b"id-0099"), None);
+        assert_eq!(narrow.lower_bound(&p, &Lexicographic, b"id-0099"), 0);
+        assert_eq!(narrow.lower_bound(&p, &Lexicographic, b"id-02"), NONE);
+        insert(&narrow, &p, b"id-0200", 77);
+        insert(&narrow, &p, b"id-00", 78);
+        narrow.assert_prefixes(&p, &Lexicographic);
+        let keys: Vec<&[u8]> = narrow
+            .collect_live(|v| v != 0)
+            .iter()
+            .map(|(k, _)| unsafe { p.slice(*k) })
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(
+            (keys[0], keys[keys.len() - 1]),
+            (&b"id-00"[..], &b"id-0200"[..])
+        );
+    }
+
     #[test]
     fn chunk_fills_up() {
         let p = pool();
-        let c = Chunk::new_empty(8, Box::new([]));
+        let c = Chunk::new_empty(8, Box::new([]), true);
         for i in 0..8u32 {
             insert(&c, &p, format!("{i}").as_bytes(), 1);
         }
         let kr = alloc_key(&p, b"overflow");
-        assert!(c.allocate_entry(kr, 0).is_none());
+        assert!(c.allocate_entry(&Lexicographic, kr, b"overflow").is_none());
     }
 
     #[test]
     fn freeze_blocks_publish_and_linking() {
         let p = pool();
-        let c = Chunk::new_empty(16, Box::new([]));
+        let c = Chunk::new_empty(16, Box::new([]), true);
         insert(&c, &p, b"pre", 1);
         c.freeze();
         assert!(c.is_frozen());
         assert!(!c.publish());
         let kr = alloc_key(&p, b"post");
-        let idx = c.allocate_entry(kr, 0).unwrap();
+        let idx = c.allocate_entry(&Lexicographic, kr, b"post").unwrap();
         assert!(matches!(
             c.ll_put_if_absent(&p, &Lexicographic, idx),
             LinkOutcome::Frozen
@@ -987,7 +1233,7 @@ mod tests {
 
     #[test]
     fn freeze_waits_for_inflight_publication() {
-        let c = Arc::new(Chunk::new_empty(16, Box::new([])));
+        let c = Arc::new(Chunk::new_empty(16, Box::new([]), true));
         assert!(c.publish());
         let c2 = c.clone();
         let froze = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -1006,10 +1252,9 @@ mod tests {
     #[test]
     fn needs_reorg_tracks_unsorted_ratio() {
         let p = pool();
-        let items: Vec<(SliceRef, u64, u64)> = (0..20u32)
-            .map(|i| (alloc_key(&p, format!("s{i:03}").as_bytes()), 1, 0))
-            .collect();
-        let c = Chunk::new_sorted(64, Box::new([]), &items);
+        let src = Chunk::new_empty(1, Box::new([]), true);
+        let items = survivors(&src, &p, (0..20).map(|i| format!("s{i:03}")));
+        let c = Chunk::new_sorted(64, Box::new([]), &items, &p, &Lexicographic, true);
         assert!(!c.needs_reorg(0.5));
         for i in 0..11u32 {
             insert(&c, &p, format!("u{i:03}").as_bytes(), 1);
@@ -1020,7 +1265,7 @@ mod tests {
     #[test]
     fn concurrent_inserts_distinct_keys() {
         let p = pool();
-        let c = Arc::new(Chunk::new_empty(1024, Box::new([])));
+        let c = Arc::new(Chunk::new_empty(1024, Box::new([]), true));
         let mut handles = Vec::new();
         for t in 0..4u32 {
             let c = c.clone();
@@ -1030,7 +1275,7 @@ mod tests {
                     let key = format!("{:04}", t * 200 + i);
                     let kr = alloc_key(&p, key.as_bytes());
                     let idx = c
-                        .allocate_entry(kr, Lexicographic.prefix(key.as_bytes()).unwrap())
+                        .allocate_entry(&Lexicographic, kr, key.as_bytes())
                         .unwrap();
                     match c.ll_put_if_absent(&p, &Lexicographic, idx) {
                         LinkOutcome::Linked => assert!(c.cas_value(idx, 0, 1)),

@@ -41,6 +41,23 @@ pub trait KeyComparator: Send + Sync + Clone + 'static {
         let _ = key;
         None
     }
+
+    /// Whether [`compare`](Self::compare) is plain bytewise lexicographic
+    /// order, i.e. `compare(a, b) == a.cmp(b)` for all byte strings.
+    ///
+    /// Chunks of such a map cache prefixes *relative to the chunk*: a
+    /// chunk whose sorted keys all start with the same bytes skips them
+    /// and caches the eight bytes that follow, so keys that agree on their
+    /// first eight bytes (zero-padded decimal ids, a common table prefix)
+    /// are still told apart on-heap. That is sound only for bytewise
+    /// order, where keys sharing a leading run are ordered by what follows
+    /// it and every other key falls entirely before or after them. The
+    /// default (`false`) keeps [`prefix`](Self::prefix) applied to whole
+    /// keys.
+    #[inline]
+    fn bytewise(&self) -> bool {
+        false
+    }
 }
 
 /// The canonical order-preserving prefix for lexicographic byte order:
@@ -71,6 +88,11 @@ impl KeyComparator for Lexicographic {
     #[inline]
     fn prefix(&self, key: &[u8]) -> Option<u64> {
         Some(lexicographic_prefix(key))
+    }
+
+    #[inline]
+    fn bytewise(&self) -> bool {
+        true
     }
 }
 

@@ -35,9 +35,12 @@ pub struct OakMapConfig {
     pub reclamation: ReclamationPolicy,
     /// Cache an order-preserving 64-bit key prefix on-heap in each entry
     /// and compare prefixes before dereferencing off-heap key bytes
-    /// (search touches the pool only on prefix ties). Disabling stores a
-    /// `0` ("no information") prefix everywhere, making every comparison
-    /// a full off-heap compare — the pre-cache behaviour, kept for A/B
+    /// (search touches the pool only on prefix ties). Under a
+    /// [bytewise](crate::KeyComparator::bytewise) comparator the prefix
+    /// is relative to the entry's chunk: the eight bytes after the
+    /// leading run the chunk's sorted keys share. Disabling stores a `0`
+    /// ("no information") prefix everywhere, making every comparison a
+    /// full off-heap compare — the pre-cache behaviour, kept for A/B
     /// benchmarking. Comparators without an order-preserving prefix
     /// ([`KeyComparator::prefix`](crate::KeyComparator::prefix) returning
     /// `None`) get full compares regardless of this flag.

@@ -219,7 +219,11 @@ mod tests {
     use crate::cmp::Lexicographic;
 
     fn chunk(min_key: &[u8]) -> Arc<Chunk> {
-        Arc::new(Chunk::new_empty(8, min_key.to_vec().into_boxed_slice()))
+        Arc::new(Chunk::new_empty(
+            8,
+            min_key.to_vec().into_boxed_slice(),
+            true,
+        ))
     }
 
     #[test]

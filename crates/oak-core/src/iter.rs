@@ -73,14 +73,15 @@ pub(crate) struct AscendCursor<'a, C: KeyComparator> {
     entry: u32,
     lo: Option<Box<[u8]>>,
     hi: Option<Box<[u8]>>,
-    /// Cached order-preserving prefix of `hi` (0 = no information), so the
-    /// per-entry bound check compares on-heap prefixes first and touches
-    /// off-heap key bytes only on prefix ties.
-    hi_prefix: u64,
     last_key: Option<SliceRef>,
-    /// Cached prefix of `last_key` (0 = no information), for the dedup
-    /// check after hops and re-entries.
-    last_prefix: u64,
+    /// Per-entry mode: the walk just entered a chunk at
+    /// `lower_bound(last_key)` (hop or re-entry), so leading entries ≤
+    /// `last_key` are skipped until one compares greater. The bounds are
+    /// probed against the chunk under the cursor where they are checked —
+    /// a key's cached prefix is relative to one chunk
+    /// ([`Chunk::probe`](crate::chunk::Chunk::probe)), so the cursor keeps
+    /// none of its own.
+    resumed: bool,
     /// Epoch pin held for the cursor's whole lifetime: every chunk the
     /// walk enters was observed unreplaced under this pin, so its key
     /// slices (including `last_key` and everything parked in `batch`)
@@ -147,9 +148,8 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
             entry,
             lo: lo.map(|l| l.into()),
             hi: hi.map(|h| h.into()),
-            hi_prefix: hi.map_or(0, |h| map.key_prefix(h)),
             last_key: None,
-            last_prefix: 0,
+            resumed: false,
             pin,
             batch_mode: map.config.batch_scan,
             locked_scan,
@@ -188,7 +188,7 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
     /// successor chunk's `min_key` is ≤ `hi`, the chunk invariant
     /// (entries < successor `min_key`) already proves every entry in
     /// range, so the snapshot walk performs zero per-entry bound checks.
-    fn fill_batch(&mut self, chunk: Arc<Chunk>, start: u32, strict_after: Option<(&[u8], u64)>) {
+    fn fill_batch(&mut self, chunk: Arc<Chunk>, start: u32, strict_after: Option<&[u8]>) {
         self.release_batch_locks();
         let map = self.map;
         let pool = map.pool();
@@ -198,7 +198,7 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
         self.batch.clear();
         self.batch_pos = 0;
         self.batch_rev = chunk.revision();
-        let hi_opt: Option<(&[u8], u64, bool)> = match &self.hi {
+        let hi_opt: Option<(&[u8], bool)> = match &self.hi {
             None => None,
             Some(h) => {
                 let covered = chunk.next_chunk().is_some_and(|n| {
@@ -208,7 +208,7 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
                 if covered {
                     None // whole chunk < successor minKey ≤ hi
                 } else {
-                    Some((h, self.hi_prefix, false)) // hi is exclusive
+                    Some((h, false)) // hi is exclusive
                 }
             }
         };
@@ -261,9 +261,6 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
         // The resume/dedup bound: the last key the drained batch yielded.
         if let Some(&BatchEntry { key: lk, .. }) = self.batch.last() {
             self.last_key = Some(lk);
-            // SAFETY: key buffers are immutable; `lk` is pinned.
-            let kb = unsafe { map.pool().slice(lk) };
-            self.last_prefix = map.key_prefix(kb);
         }
         let Some(chunk) = self.chunk.clone() else {
             return;
@@ -280,7 +277,7 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
                     let lb = unsafe { map.pool().slice(lk) };
                     let c = map.locate_chunk(lb);
                     let e = c.lower_bound(map.pool(), &map.cmp, lb);
-                    self.fill_batch(c, e, Some((lb, self.last_prefix)));
+                    self.fill_batch(c, e, Some(lb));
                 }
                 None => {
                     let (c, e) = match self.lo.take() {
@@ -322,7 +319,7 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
                 // SAFETY: key buffers are immutable; `lk` is pinned.
                 let lb = unsafe { map.pool().slice(lk) };
                 let e = n.lower_bound(map.pool(), &map.cmp, lb);
-                self.fill_batch(n, e, Some((lb, self.last_prefix)));
+                self.fill_batch(n, e, Some(lb));
             }
             None => {
                 let e = n.head_entry();
@@ -440,6 +437,7 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
         };
         self.entry = entry;
         self.chunk = Some(chunk);
+        self.resumed = true;
     }
 
     /// Advances to the next live entry, returning raw references.
@@ -479,34 +477,30 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
                     None => n.head_entry(),
                 };
                 self.chunk = Some(n);
+                self.resumed = true;
                 continue;
             }
             let idx = self.entry;
             self.entry = chunk.entry_next(idx);
             // Bound and dedup checks go through the entries' cached
             // prefixes; off-heap key bytes are dereferenced only on ties.
+            let (pool, cmp) = (self.map.pool(), &self.map.cmp);
             if let Some(h) = &self.hi {
-                let ord =
-                    chunk.compare_entry_key(self.map.pool(), &self.map.cmp, idx, h, self.hi_prefix);
-                if ord != std::cmp::Ordering::Less {
+                if chunk.probe(pool, cmp, h).cmp_entry(idx) != std::cmp::Ordering::Less {
                     self.chunk = None;
                     return None;
                 }
             }
-            if let Some(lk) = self.last_key {
-                let ep = chunk.entry_prefix(idx);
-                let ord = if ep != 0 && self.last_prefix != 0 && ep != self.last_prefix {
-                    ep.cmp(&self.last_prefix)
-                } else {
+            if self.resumed {
+                if let Some(lk) = self.last_key {
                     // SAFETY: key buffers are immutable; `lk` is pinned.
-                    let lb = unsafe { self.map.pool().slice(lk) };
-                    self.map
-                        .cmp
-                        .compare(chunk.key_bytes(self.map.pool(), idx), lb)
-                };
-                if ord != std::cmp::Ordering::Greater {
-                    continue; // already covered before a hop / re-entry
+                    let lb = unsafe { pool.slice(lk) };
+                    if chunk.probe(pool, cmp, lb).cmp_entry(idx) != std::cmp::Ordering::Greater {
+                        continue; // already covered before a hop / re-entry
+                    }
                 }
+                // Sorted list: the rest of this chunk is beyond it too.
+                self.resumed = false;
             }
             let Some(h) = chunk.value_ref(idx) else {
                 continue;
@@ -515,7 +509,6 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
                 continue;
             }
             self.last_key = Some(chunk.key_ref(idx));
-            self.last_prefix = chunk.entry_prefix(idx);
             return Some((chunk.key_ref(idx), h));
         }
     }
@@ -588,8 +581,6 @@ pub struct DescendIter<'a, C: KeyComparator> {
     from: Option<Box<[u8]>>,
     /// Inclusive lower bound of the scan.
     lo: Option<Box<[u8]>>,
-    /// Cached order-preserving prefix of `lo` (0 = no information).
-    lo_prefix: u64,
     /// Last key yielded: the strict re-entry bound after a concurrent
     /// rebalance replaces the chunk under the scan.
     last_yielded: Option<SliceRef>,
@@ -651,7 +642,6 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
             next_prefix: -2,
             from: from.map(|f| f.into()),
             lo: lo.map(|l| l.into()),
-            lo_prefix: lo.map_or(0, |l| map.key_prefix(l)),
             last_yielded: None,
             pending: None,
             done: false,
@@ -725,12 +715,11 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
             let top = match ub {
                 Some((b, inclusive)) => {
                     // Count of prefix cells within the upper bound.
-                    let bp = map.key_prefix(b);
+                    let bound = chunk.probe(pool, &map.cmp, b);
                     let (mut a, mut z) = (0i64, sc as i64);
                     while a < z {
                         let mid = (a + z) / 2;
-                        let below = match chunk.compare_entry_key(pool, &map.cmp, mid as u32, b, bp)
-                        {
+                        let below = match bound.cmp_entry(mid as u32) {
                             std::cmp::Ordering::Less => true,
                             std::cmp::Ordering::Equal => inclusive,
                             std::cmp::Ordering::Greater => false,
@@ -752,8 +741,6 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
                 self.window_bound = Some(chunk.key_ref(start));
             }
         }
-        let ub_opt: Option<(&[u8], u64, bool)> =
-            ub.map(|(b, inclusive)| (b, map.key_prefix(b), inclusive));
         let store = map.value_store();
         let locked = self.locked_scan;
         chunk.collect_batch(
@@ -761,7 +748,7 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
             &map.cmp,
             start,
             None,
-            ub_opt,
+            ub,
             usize::MAX,
             |h| {
                 if locked {
@@ -958,14 +945,14 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
         let pool = self.map.pool();
         let cmp = &self.map.cmp;
         self.stack.clear();
-        // Bound prefix, computed once per chunk entry: probes and the
+        // The bound, probed once per chunk entry: the cell search and the
         // in-bound walk compare cached prefixes first, dereferencing
         // off-heap key bytes only on ties.
-        let bp = bound.map_or(0, |b| self.map.key_prefix(b));
+        let bound = bound.map(|b| chunk.probe(pool, cmp, b));
 
-        let in_bound = |idx: u32| match bound {
+        let in_bound = |idx: u32| match &bound {
             None => true,
-            Some(b) => match chunk.compare_entry_key(pool, cmp, idx, b, bp) {
+            Some(b) => match b.cmp_entry(idx) {
                 std::cmp::Ordering::Less => true,
                 std::cmp::Ordering::Equal => inclusive,
                 std::cmp::Ordering::Greater => false,
@@ -975,7 +962,7 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
         // The starting prefix cell: the last prefix entry within bound.
         // (prefix_floor is inclusive-≤; adjust for the exclusive case by
         // walking with `in_bound` below anyway.)
-        let start = match bound {
+        let start = match &bound {
             Some(b) => {
                 // Largest prefix index with key ≤ b; may still be out of
                 // bound in the exclusive case — in_bound filters.
@@ -983,9 +970,7 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
                 let (mut a, mut z) = (0i64, n);
                 while a < z {
                     let mid = (a + z) / 2;
-                    if chunk.compare_entry_key(pool, cmp, mid as u32, b, bp)
-                        == std::cmp::Ordering::Greater
-                    {
+                    if b.cmp_entry(mid as u32) == std::cmp::Ordering::Greater {
                         z = mid;
                     } else {
                         a = mid + 1;
@@ -1155,8 +1140,9 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
             };
             let chunk = self.chunk.as_ref()?;
             if let Some(l) = &self.lo {
-                let ord =
-                    chunk.compare_entry_key(self.map.pool(), &self.map.cmp, idx, l, self.lo_prefix);
+                let ord = chunk
+                    .probe(self.map.pool(), &self.map.cmp, l)
+                    .cmp_entry(idx);
                 if ord == std::cmp::Ordering::Less {
                     self.done = true; // descending: below lo means finished
                     return None;

@@ -114,7 +114,11 @@ impl<C: KeyComparator> OakMap<C> {
             Some(shared) => MemoryPool::with_shared(config.pool.max_arenas, shared.clone()),
             None => MemoryPool::new(config.pool.clone()),
         });
-        let first = Arc::new(Chunk::new_empty(config.chunk_capacity, Box::new([])));
+        let first = Arc::new(Chunk::new_empty(
+            config.chunk_capacity,
+            Box::new([]),
+            config.prefix_cache,
+        ));
         let reclaim = Arc::new(Quarantine::new(pool.clone()));
         // Hard byte ceiling this map's pool can ever reach — the overload
         // controller's headroom denominator.
@@ -204,8 +208,9 @@ impl<C: KeyComparator> OakMap<C> {
 
     /// Validates internal invariants: the chunk list covers disjoint,
     /// ascending key ranges; every chunk's linked list is sorted and within
-    /// its range; live entries reconcile with `len()`. Quiescent-state
-    /// checker for tests and debugging — not thread-safe against writers.
+    /// its range; every cached key prefix agrees with its key; live
+    /// entries reconcile with `len()`. Quiescent-state checker for tests
+    /// and debugging — not thread-safe against writers.
     #[doc(hidden)]
     pub fn validate(&self) {
         let mut c = self.first_chunk();
@@ -240,6 +245,7 @@ impl<C: KeyComparator> OakMap<C> {
                 prev = Some(kb);
             }
             live_total += items.len();
+            c.assert_prefixes(self.pool(), &self.cmp);
             // The heuristic live counter brackets reality from below only
             // loosely; just ensure it is sane.
             let _ = c.live_count();
@@ -313,20 +319,6 @@ impl<C: KeyComparator> OakMap<C> {
             leaked,
             leaked_bytes,
             quarantined_bytes: self.reclaim.pending_bytes(),
-        }
-    }
-
-    /// The order-preserving 64-bit prefix stored alongside `key`'s entry
-    /// and compared before touching off-heap key bytes. `0` means "no
-    /// information" — returned when the comparator opts out or the
-    /// prefix cache is disabled — and always forces a full compare, so a
-    /// disabled cache degrades to exactly the unaccelerated search.
-    #[inline]
-    pub(crate) fn key_prefix(&self, key: &[u8]) -> u64 {
-        if self.config.prefix_cache {
-            self.cmp.prefix(key).unwrap_or(0)
-        } else {
-            0
         }
     }
 

@@ -283,7 +283,7 @@ impl<C: KeyComparator> OakMap<C> {
                             continue;
                         }
                     };
-                    let Some(new_ei) = c.allocate_entry(kref, self.key_prefix(key)) else {
+                    let Some(new_ei) = c.allocate_entry(&self.cmp, kref, key) else {
                         // Chunk full: free the speculative key, rebalance,
                         // retry (Algorithm 2 line 31).
                         self.pool().free(kref);

@@ -24,7 +24,9 @@
 //! inserted before the freeze and not removed are kept (RB1), never-present
 //! or removed keys are not resurrected (RB2), and `new_sorted` preserves
 //! order (RB3). `tests/rebalance_guarantees.rs` exercises them under
-//! concurrency.
+//! concurrency. Cached key prefixes are relative to one chunk:
+//! `new_sorted` carries an entry's prefix into a replacement with the same
+//! base and derives it again from the key otherwise.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -120,7 +122,11 @@ impl<C: KeyComparator> OakMap<C> {
         let per_chunk = (cap / 2).max(1) as usize;
         let mut new_chunks: Vec<Arc<Chunk>> = Vec::new();
         if items.is_empty() {
-            new_chunks.push(Arc::new(Chunk::new_empty(cap, chunk.min_key.clone())));
+            new_chunks.push(Arc::new(Chunk::new_empty(
+                cap,
+                chunk.min_key.clone(),
+                self.config.prefix_cache,
+            )));
         } else {
             for (i, group) in items.chunks(per_chunk).enumerate() {
                 let min_key: Box<[u8]> = if i == 0 {
@@ -129,9 +135,16 @@ impl<C: KeyComparator> OakMap<C> {
                     chunk.min_key.clone()
                 } else {
                     // SAFETY: key buffers are immutable and live.
-                    unsafe { self.pool().slice(group[0].0) }.into()
+                    unsafe { self.pool().slice(group[0].key) }.into()
                 };
-                new_chunks.push(Arc::new(Chunk::new_sorted(cap, min_key, group)));
+                new_chunks.push(Arc::new(Chunk::new_sorted(
+                    cap,
+                    min_key,
+                    group,
+                    self.pool(),
+                    &self.cmp,
+                    self.config.prefix_cache,
+                )));
             }
         }
 
@@ -257,5 +270,96 @@ impl<C: KeyComparator> OakMap<C> {
             assert!(spins < 1_000_000, "splice could not find engaged chunk");
             std::hint::spin_loop();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+    use crate::config::OakMapConfig;
+
+    /// The benchmark's key shape: a 20-digit zero-padded id, then padding.
+    fn key(id: u64) -> Vec<u8> {
+        let mut k = format!("{id:020}").into_bytes();
+        k.resize(40, b'k');
+        k
+    }
+
+    fn chunks(map: &OakMap) -> Vec<Arc<Chunk>> {
+        let mut out = vec![map.first_chunk()];
+        while let Some(n) = out.last().expect("non-empty").next_chunk() {
+            out.push(n);
+        }
+        out
+    }
+
+    fn assert_scan_equals(map: &OakMap, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
+        map.validate(); // includes: every cached prefix agrees with its key
+        let mut got = Vec::new();
+        map.for_each_in(None, None, |k, v| {
+            got.push((k.to_vec(), v.to_vec()));
+            true
+        });
+        let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        assert_eq!(got, want);
+        for (k, v) in model {
+            assert_eq!(map.get_copy(k).as_ref(), Some(v));
+        }
+    }
+
+    #[test]
+    fn merge_of_chunks_with_different_skip_rederives_prefixes() {
+        let map = OakMap::with_config(OakMapConfig::small().chunk_capacity(64));
+        let mut model = BTreeMap::new();
+        // Ids straddling a power of ten: chunks below, across and above
+        // 10 000 share 16, 15 and 17 leading bytes.
+        for id in 9_900..10_100u64 {
+            map.put(&key(id), &id.to_le_bytes()).unwrap();
+            model.insert(key(id), id.to_le_bytes().to_vec());
+        }
+        let cs = chunks(&map);
+        let i = cs
+            .windows(2)
+            .position(|w| w[0].skip() != w[1].skip())
+            .expect("neighbouring chunks with different skip");
+        let (c, n) = (cs[i].clone(), cs[i + 1].clone());
+        // Drain `c` to under the merge threshold, then rebalance it: its
+        // survivors move into a chunk built together with `n`'s.
+        let live = c.collect_live(|raw| raw != 0);
+        for (kref, _) in &live[2..] {
+            // SAFETY: key buffers are immutable and live.
+            let kb = unsafe { map.pool().slice(*kref) }.to_vec();
+            if map.remove(&kb) {
+                model.remove(&kb);
+            }
+        }
+        if c.replacement().is_none() {
+            map.rebalance(&c);
+        }
+        assert!(c.replacement().is_some() && n.replacement().is_some());
+        assert_scan_equals(&map, &model);
+    }
+
+    #[test]
+    fn split_that_narrows_a_chunk_grows_its_skip() {
+        let map = OakMap::with_config(OakMapConfig::small().chunk_capacity(64));
+        let mut model = BTreeMap::new();
+        let mut put = |id: u64| {
+            map.put(&key(id), &id.to_le_bytes()).unwrap();
+            model.insert(key(id), id.to_le_bytes().to_vec());
+        };
+        for id in (1_000..4_300).step_by(100) {
+            put(id); // sparse: a chunk spans thousands, skip ≤ 16
+        }
+        let before = chunks(&map).iter().map(|c| c.skip()).max().unwrap();
+        assert!(before <= 16);
+        for id in 2_000..2_080 {
+            put(id); // dense: the splits leave chunks inside 20xx
+        }
+        let after = chunks(&map).iter().map(|c| c.skip()).max().unwrap();
+        assert!(after >= 18, "skip {before} -> {after}");
+        assert_scan_equals(&map, &model);
     }
 }

@@ -12,9 +12,10 @@
 //! Memory: with [`OakMapConfig::shared_arenas`] set, every shard draws its
 //! arenas from the same pre-allocated reservoir, so the global off-heap
 //! budget is enforced by the reservoir no matter how writes skew. Without
-//! it, each shard gets a private pool whose arena budget is the
-//! configured `max_arenas` divided (rounded up) across shards, keeping the
-//! aggregate ceiling comparable to an unsharded map.
+//! it, each shard gets a private pool with `1 / shards` of the configured
+//! byte budget in arenas `1 / shards` the configured size (not below
+//! 1 MiB): the aggregate ceiling stays comparable to an unsharded map, and
+//! so does the step the footprint grows by.
 
 use std::sync::Arc;
 
@@ -183,19 +184,30 @@ impl<C: KeyComparator> ShardedOakMap<C> {
         let shard_config = match &reservoir {
             Some(_) => config,
             None => {
-                // Private pools: split the arena budget so the aggregate
-                // off-heap ceiling matches the unsharded configuration.
-                // When the plain division would leave a shard fewer than
-                // MIN_SHARD_ARENAS arenas, shrink the arena instead of
-                // starving the shard of granularity: a single-arena shard
-                // has no headroom for quarantine lag under put churn and
-                // tips into OutOfMemory long before its byte budget is
-                // actually exhausted.
+                // Private pools: split the byte budget so the aggregate
+                // off-heap ceiling matches the unsharded configuration,
+                // and split the arena with it. Balanced shards fill up
+                // together, so with full-size arenas they would each
+                // reserve a fresh one within a few thousand inserts of one
+                // another and the map would grow `shards × arena_size` at
+                // a step; with `arena_size / shards` the map-wide growth
+                // step is the arena size the caller configured. Never
+                // split below 1 MiB, so the largest legal slice
+                // (`MAX_SLICE_LEN`) still fits an arena.
+                const MIN_SPLIT_ARENA: usize = 1 << 20;
+                // When the budget would still leave a shard fewer than
+                // MIN_SHARD_ARENAS arenas, shrink the arena further
+                // instead of starving the shard of granularity: a
+                // single-arena shard has no headroom for quarantine lag
+                // under put churn and tips into OutOfMemory long before
+                // its byte budget is actually exhausted.
                 const MIN_SHARD_ARENAS: usize = 4;
                 const MIN_ARENA: usize = 64 << 10;
                 let mut c = config;
                 let shard_budget = (c.pool.arena_size * c.pool.max_arenas) / shards;
-                c.pool.max_arenas = c.pool.max_arenas.div_ceil(shards).max(1);
+                let floor = MIN_SPLIT_ARENA.min(c.pool.arena_size);
+                c.pool.arena_size = ((c.pool.arena_size / shards) & !7).max(floor);
+                c.pool.max_arenas = shard_budget.div_ceil(c.pool.arena_size).max(1);
                 if c.pool.max_arenas < MIN_SHARD_ARENAS && c.pool.arena_size > MIN_ARENA {
                     c.pool.arena_size = (shard_budget / MIN_SHARD_ARENAS).max(MIN_ARENA) & !7;
                     c.pool.max_arenas = (shard_budget / c.pool.arena_size).max(1);

@@ -252,3 +252,46 @@ fn misordered_range_boundaries_are_rejected() {
         OakMapConfig::small(),
     );
 }
+
+/// Private-pool shards split the configured arena along with the byte
+/// budget, so the map as a whole grows by the configured `arena_size` at
+/// a time. Balanced shards fill up together: with full-size arenas all
+/// four would reserve a fresh one within a few inserts of one another,
+/// and the footprint per stored byte would be a step function four arenas
+/// high.
+#[test]
+fn private_pool_shards_grow_by_the_configured_arena_size() {
+    const ARENA: u64 = 4 << 20;
+    const SHARD_ARENA: u64 = ARENA / 4;
+    let map = ShardedOakMap::with_config(
+        4,
+        OakMapConfig::default().pool(PoolConfig::with_budget(ARENA as usize, 64 << 20)),
+    );
+    let value = [7u8; 1024];
+    let (mut reserved, mut inserted) = (0u64, 0u64);
+    // Three configured arenas' worth of entries.
+    for i in 0.. {
+        let pool = map.stats().pool;
+        if pool.live_bytes >= 3 * ARENA {
+            break;
+        }
+        assert!(
+            pool.reserved_bytes - reserved <= SHARD_ARENA,
+            "one put reserved {} bytes",
+            pool.reserved_bytes - reserved
+        );
+        assert!(
+            pool.reserved_bytes <= pool.live_bytes + ARENA + SHARD_ARENA,
+            "{} bytes reserved for {} live after {inserted} puts",
+            pool.reserved_bytes,
+            pool.live_bytes
+        );
+        reserved = pool.reserved_bytes;
+        map.put(&key(0, i), &value).unwrap();
+        inserted += 1;
+    }
+    assert!(reserved >= 3 * ARENA);
+    for shard in map.shard_stats() {
+        assert_eq!(shard.pool.reserved_bytes, shard.pool.arenas * SHARD_ARENA);
+    }
+}

@@ -43,6 +43,21 @@ fn key(id: u64) -> Vec<u8> {
     format!("key-{id:05}").into_bytes()
 }
 
+/// 20-digit zero-padded ids straddling a power of ten, in mixed lengths:
+/// Oak's chunks on either side of the boundary share different numbers of
+/// leading bytes (their cached key prefixes are relative to those), and
+/// some keys are proper prefixes of others.
+fn straddle_key(id: u64) -> Vec<u8> {
+    let mut k = format!("{:020}", 99_950 + id * 7).into_bytes();
+    match id % 5 {
+        0 => k.truncate(19),
+        1 => k.extend_from_slice(&[0; 9]),
+        2 => k.resize(60, b'k'),
+        _ => {}
+    }
+    k
+}
+
 fn value(tag: u64) -> Vec<u8> {
     tag.to_le_bytes().to_vec() // fixed 8 bytes: in-place compute can't resize
 }
@@ -115,6 +130,7 @@ fn assert_matches_model(
     name: &str,
     map: &dyn OrderedKvMap,
     model: &BTreeMap<Vec<u8>, Vec<u8>>,
+    key: fn(u64) -> Vec<u8>,
     universe: u64,
 ) {
     assert_eq!(map.len(), model.len(), "{name}: len diverged");
@@ -148,6 +164,15 @@ fn assert_matches_model(
 
 #[test]
 fn sequential_model_equivalence() {
+    model_equivalence(key);
+}
+
+#[test]
+fn sequential_model_equivalence_on_straddling_ids() {
+    model_equivalence(straddle_key);
+}
+
+fn model_equivalence(key: fn(u64) -> Vec<u8>) {
     const UNIVERSE: u64 = 100;
     const OPS: usize = 4_000;
 
@@ -210,7 +235,7 @@ fn sequential_model_equivalence() {
                 }
             }
         }
-        assert_matches_model(name, map.as_ref(), &model, UNIVERSE);
+        assert_matches_model(name, map.as_ref(), &model, key, UNIVERSE);
     }
 }
 

@@ -47,9 +47,8 @@ use std::time::{Duration, Instant};
 
 use oak_core::{all_failpoint_sites, OakMap, OakMapConfig};
 use oak_durable::{checkpoint, open_or_empty, FAILPOINT_SITES as DURABLE_SITES};
-use oak_failpoints::{configure, Action, FirePolicy};
+use oak_failpoints::{configure, Action, FirePolicy, SplitMix64};
 use oak_linearize::recovery::{check_recovery, AckRecord, RecoveryVerdict, StateDigest};
-use oak_linearize::SplitMix64;
 
 /// Writer-side map configuration: the default small map over file-backed
 /// off-heap arenas (the crash also exercises the mmap backing), with the
@@ -88,7 +87,7 @@ struct Workload {
 impl Workload {
     fn new(seed: u64) -> Workload {
         Workload {
-            rng: SplitMix64(seed ^ 0xc0a1_e5ce_5eed_f00d),
+            rng: SplitMix64::new(seed ^ 0xc0a1_e5ce_5eed_f00d),
             op: 0,
         }
     }
@@ -273,7 +272,7 @@ fn run_one(exe: &Path, base_dir: &Path, seed: u64, batches: u64, batch_size: u64
     std::fs::remove_dir_all(&run_dir).ok();
     std::fs::create_dir_all(&run_dir).expect("run dir");
 
-    let mut rng = SplitMix64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xcafe);
+    let mut rng = SplitMix64::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xcafe);
     let (site, hit) = choose_kill(&mut rng);
 
     let mut child = Command::new(exe)

@@ -133,7 +133,7 @@ fn main() {
         .as_deref()
         .is_some_and(|o| MEM_PRESSURE_LABEL.starts_with(o))
     {
-        run_memory_pressure(&threads, &workload, 4096, duration, &mut summary, true);
+        run_memory_pressure(&threads, &workload, 4096, &mut summary, true);
     }
     if only
         .as_deref()

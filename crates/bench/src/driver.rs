@@ -179,7 +179,7 @@ pub fn sustained(
     }
 }
 
-/// Fixed-operation-count variant (deterministic work, used by Criterion).
+/// Fixed-operation-count variant (deterministic work, used by the ablations).
 pub fn run_fixed_ops(
     map: &dyn MapAdapter,
     config: &WorkloadConfig,
@@ -200,7 +200,7 @@ mod tests {
     use crate::adapter::TraitAdapter;
     use oak_core::{OakMap, OakMapConfig};
     use oak_skiplist::SkipListMap;
-    use parking_lot::Mutex;
+    use oak_sync::Mutex;
 
     fn tiny() -> WorkloadConfig {
         WorkloadConfig {

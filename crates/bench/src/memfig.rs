@@ -18,7 +18,7 @@ use oak_mempool::{AllocError, PoolConfig, PoolStats};
 use oak_skiplist::offheap::OffHeapSkipListMap;
 use oak_skiplist::SkipListMap;
 
-use parking_lot::Mutex;
+use oak_sync::Mutex;
 
 use crate::report::{Row, Summary};
 use crate::workload::WorkloadConfig;

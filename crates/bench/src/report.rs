@@ -298,6 +298,29 @@ mod tests {
     }
 
     #[test]
+    fn checked_in_baseline_has_the_current_robustness_keys() {
+        // CI compares fresh runs with BENCH_synchrobench.json; the file must
+        // be regenerated when the metric table changes, not go stale.
+        let baseline = include_str!("../../../BENCH_synchrobench.json");
+        let want: Vec<&str> = pool_columns(&PoolStats::default())
+            .map(|(name, ..)| name)
+            .collect();
+        let objects: Vec<&str> = baseline
+            .split("\"robustness\": {")
+            .skip(1)
+            .map(|rest| &rest[..rest.find('}').expect("object closes")])
+            .collect();
+        assert!(!objects.is_empty(), "no row with pool counters");
+        for object in objects {
+            let keys: Vec<&str> = object
+                .split(", ")
+                .map(|cell| cell.split(':').next().expect("key").trim_matches('"'))
+                .collect();
+            assert_eq!(keys, want, "regenerate BENCH_synchrobench.json");
+        }
+    }
+
+    #[test]
     fn hot_path_counters_alone_stay_out_of_the_table_note() {
         // A healthy run (only traffic counters non-zero) prints no
         // incident bracket, but the counters are in the CSV.

@@ -5,11 +5,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use oak_core::{OakError, OakMap, OakMapConfig, ShardedOakMap};
+use oak_failpoints::SplitMix64;
 use oak_mempool::{PoolConfig, PoolStats};
 use oak_skiplist::btree::LockedBTreeMap;
 use oak_skiplist::offheap::OffHeapSkipListMap;
 use oak_skiplist::SkipListMap;
-use parking_lot::Mutex;
+use oak_sync::Mutex;
 
 use crate::adapter::{MapAdapter, TraitAdapter};
 use crate::driver::{ingest, sustained};
@@ -537,11 +538,17 @@ pub const MEM_PRESSURE_LABEL: &str = "mem-pressure";
 /// so this scenario runs its own loop that tolerates out-of-memory and
 /// reports the OOM / reclaim counts and free-space fragmentation in the
 /// robustness columns.
+///
+/// The work is a fixed, seeded `2 × key_range` operations per thread, not a
+/// time window: three puts to one remove over uniform keys would settle at
+/// three quarters of the range resident, the pool holds well under half of
+/// it, so the run reaches the exhaustion edge within the first `key_range`
+/// operations and spends the rest riding it (every failed put runs the
+/// whole emergency ladder, which is what makes the scenario slow per op).
 pub fn run_memory_pressure(
     threads: &[usize],
     workload: &WorkloadConfig,
     chunk_capacity: u32,
-    duration: Duration,
     summary: &mut Summary,
     verbose: bool,
 ) {
@@ -550,34 +557,32 @@ pub fn run_memory_pressure(
     let raw = workload.key_range * (workload.key_size + workload.value_size + 24) as u64;
     let budget = ((raw / 2) as usize).max(256 << 10);
     let pool = PoolConfig::with_budget((budget / 4).next_power_of_two().max(64 << 10), budget);
+    let ops_per_thread = 2 * workload.key_range;
     for &t in threads {
         let map = Arc::new(OakMap::with_config(
             OakMapConfig::default()
                 .chunk_capacity(chunk_capacity)
                 .pool(pool.clone()),
         ));
-        let ops = AtomicU64::new(0);
         let ooms = AtomicU64::new(0);
+        let removes = AtomicU64::new(0);
         let start = Instant::now();
         std::thread::scope(|s| {
             for tid in 0..t {
                 let map = &map;
-                let ops = &ops;
                 let ooms = &ooms;
+                let removes = &removes;
                 s.spawn(move || {
-                    let mut id = workload.seed.wrapping_mul(tid as u64 + 1);
-                    let mut n = 0u64;
+                    let mut rng = SplitMix64::new(workload.seed ^ tid as u64);
                     let mut oom = 0u64;
-                    while start.elapsed() < duration {
-                        // xorshift over the key range; 1-in-4 ops removes,
-                        // so exhausted space keeps becoming reclaimable.
-                        id ^= id << 13;
-                        id ^= id >> 7;
-                        id ^= id << 17;
-                        let key_id = id % workload.key_range;
+                    let mut removed = 0u64;
+                    for _ in 0..ops_per_thread {
+                        // Key and op are independent draws, so that every
+                        // key a put writes is one a remove can name.
+                        let key_id = rng.below(workload.key_range);
                         let key = workload.key(key_id);
-                        if id.is_multiple_of(4) {
-                            map.remove(&key);
+                        if rng.below(4) == 0 {
+                            removed += map.remove(&key) as u64;
                         } else {
                             match map.put(&key, &workload.value(key_id)) {
                                 Ok(()) => {}
@@ -585,29 +590,36 @@ pub fn run_memory_pressure(
                                 Err(e) => panic!("unexpected: {e}"),
                             }
                         }
-                        n += 1;
                     }
-                    ops.fetch_add(n, Ordering::Relaxed);
                     ooms.fetch_add(oom, Ordering::Relaxed);
+                    removes.fetch_add(removed, Ordering::Relaxed);
                 });
             }
         });
         let elapsed = start.elapsed().as_secs_f64();
         map.drain_quarantine();
         let stats = map.pool().stats();
-        let total = ops.load(Ordering::Relaxed);
+        let total = ops_per_thread * t as u64;
         let oom_seen = ooms.load(Ordering::Relaxed);
+        let removed = removes.load(Ordering::Relaxed);
+        assert!(removed > 0, "no remove hit a resident key in {total} ops");
         // Post-churn usability: a map that rode the exhaustion edge must
-        // still serve clean traffic. One OOM retry is allowed — the probe
-        // may land while the pool is legitimately full — but a second
-        // failure after draining the quarantine means reclamation broke.
-        let probe_key = b"mem-pressure-probe";
-        if let Err(first) = map.put(probe_key, b"alive") {
-            map.drain_quarantine();
-            map.put(probe_key, b"alive").unwrap_or_else(|second| {
-                panic!("map unusable after churn: {first}, then {second}")
-            });
+        // still serve clean traffic. The pool may be legitimately full of
+        // live pairs, so the probe first removes a few residents: removes
+        // giving space back is the contract, and after them a small put
+        // that still fails means reclamation broke.
+        let mut residents = Vec::new();
+        map.for_each_in(None, None, |k, _| {
+            residents.push(k.to_vec());
+            residents.len() < 8
+        });
+        for k in &residents {
+            map.remove(k);
         }
+        map.drain_quarantine();
+        let probe_key = b"mem-pressure-probe";
+        map.put(probe_key, b"alive")
+            .unwrap_or_else(|e| panic!("map unusable after churn and removes: {e}"));
         assert_eq!(
             map.get_copy(probe_key),
             Some(b"alive".to_vec()),
@@ -617,7 +629,7 @@ pub fn run_memory_pressure(
         if verbose {
             eprintln!(
                 "{MEM_PRESSURE_LABEL} / OakMap / {t} threads: {total} ops, {oom_seen} OOM, \
-                 {} reclaims, frag {}%",
+                 {removed} removed, {} reclaims, frag {}%",
                 stats.emergency_reclaims,
                 fragmentation_pct(&stats)
             );
@@ -766,14 +778,7 @@ mod tests {
             distribution: crate::workload::KeyDistribution::Uniform,
         };
         let mut summary = Summary::new();
-        run_memory_pressure(
-            &[2],
-            &wl,
-            64,
-            Duration::from_millis(200),
-            &mut summary,
-            false,
-        );
+        run_memory_pressure(&[2], &wl, 64, &mut summary, false);
         assert_eq!(summary.rows().len(), 1);
         let row = &summary.rows()[0];
         assert_eq!(row.scenario, MEM_PRESSURE_LABEL);

@@ -1,7 +1,6 @@
 //! Workload generation: keys, values, and operation mixes.
 
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use oak_failpoints::SplitMix64;
 
 /// How keys are drawn from the range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +44,7 @@ impl Default for WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// A small configuration for fast Criterion runs.
+    /// A small configuration for fast runs.
     pub fn small() -> Self {
         WorkloadConfig {
             key_range: 20_000,
@@ -121,7 +120,7 @@ impl ZipfState {
 
 /// Per-thread deterministic key sampler.
 pub struct KeySampler {
-    rng: SmallRng,
+    rng: SplitMix64,
     range: u64,
     zipf: Option<ZipfState>,
 }
@@ -134,9 +133,7 @@ impl KeySampler {
             KeyDistribution::Zipfian { theta } => Some(ZipfState::new(config.key_range, theta)),
         };
         KeySampler {
-            rng: SmallRng::seed_from_u64(
-                config.seed ^ (thread_id.wrapping_mul(0x9E3779B97F4A7C15)),
-            ),
+            rng: SplitMix64::new(config.seed ^ (thread_id.wrapping_mul(0x9E3779B97F4A7C15))),
             range: config.key_range,
             zipf,
         }
@@ -145,9 +142,9 @@ impl KeySampler {
     /// Next sampled key id (uniform or Zipfian, per the configuration).
     pub fn next_id(&mut self) -> u64 {
         match &self.zipf {
-            None => self.rng.random_range(0..self.range),
+            None => self.rng.below(self.range),
             Some(z) => {
-                let u: f64 = self.rng.random_range(0.0..1.0);
+                let u = self.rng.unit_f64();
                 // Scramble the rank so hot keys scatter across the range,
                 // as YCSB does.
                 let rank = z.sample(u, self.range);
@@ -158,7 +155,7 @@ impl KeySampler {
 
     /// Next sample in `[0, 100)` (for op-mix percentages).
     pub fn next_pct(&mut self) -> u32 {
-        self.rng.random_range(0..100)
+        self.rng.below(100) as u32
     }
 }
 

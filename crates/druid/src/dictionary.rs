@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use oak_sync::RwLock;
 
 #[derive(Default)]
 struct Inner {

@@ -6,7 +6,7 @@
 //! ingestion hand-off ("the I² fills up → persist → dispose → fresh I²")
 //! happens without a query-visible gap.
 
-use parking_lot::RwLock;
+use oak_sync::RwLock;
 use std::sync::Arc;
 
 use oak_core::{OakError, OakMapConfig};

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use oak_sync::Mutex;
 
 use oak_core::{OakError, OakMap, OakMapConfig, OakStatsSource, OrderedKvMap};
 use oak_gcheap::{layout, HeapModel, NoopHeap};

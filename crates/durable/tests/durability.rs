@@ -2,11 +2,20 @@
 //! atomicity under injected faults, corruption detection, and the
 //! post-open audit gate.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use oak_core::{CorruptionKind, OakError, OakMap, OakMapConfig};
-use oak_durable::{checkpoint, open, open_or_empty};
+use oak_durable::{open, open_or_empty, CheckpointStats};
 use oak_failpoints::{configure, scenario, Action, FirePolicy};
+
+/// `oak_durable::checkpoint` under the failpoint scenario lock. The
+/// registry is process-global and `failed_checkpoint_preserves_previous_image`
+/// arms the checkpoint sites: a neighbouring test's unserialised checkpoint
+/// could consume the armed fault and fail in its place.
+fn checkpoint(map: &OakMap, dir: &Path) -> std::io::Result<CheckpointStats> {
+    let _s = scenario();
+    oak_durable::checkpoint(map, dir)
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -235,7 +244,7 @@ fn failed_checkpoint_preserves_previous_image() {
     ] {
         let _s = scenario();
         configure(site, Action::ReturnErr, FirePolicy::Times(1));
-        let err = checkpoint(&map, &dir).expect_err(site);
+        let err = oak_durable::checkpoint(&map, &dir).expect_err(site);
         assert_eq!(err.kind(), std::io::ErrorKind::Other, "{site}");
         drop(_s);
         let recovered = open(&dir, OakMapConfig::small()).unwrap();

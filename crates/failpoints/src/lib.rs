@@ -72,6 +72,75 @@ impl SiteSpec {
     }
 }
 
+/// SplitMix64: a tiny, high-quality deterministic PRNG, identical on every
+/// platform. Always compiled (no feature gate): it seeds the fault
+/// schedules, the retry-backoff jitter, the bench workloads and every
+/// seeded property test, so that one seed replays one run everywhere.
+#[derive(Debug, Clone)]
+pub struct SplitMix64(u64);
+
+impl SplitMix64 {
+    /// Seeds the generator.
+    pub const fn new(seed: u64) -> Self {
+        SplitMix64(seed)
+    }
+
+    /// Next 64 pseudo-random bits.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform value in `[0, bound)`; `bound` must be non-zero.
+    #[inline]
+    pub fn below(&mut self, bound: u64) -> u64 {
+        self.next_u64() % bound
+    }
+
+    /// Uniform value in `[lo, hi]` (inclusive).
+    #[inline]
+    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.below(hi - lo + 1)
+    }
+
+    /// Uniform value in `[0, 1)` (53 random mantissa bits).
+    pub fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Runs a seeded property: calls `property` `cases` times, each time with a
+/// fresh generator whose seed is drawn from `base`. There is no shrinking.
+/// Instead every run replays the same cases, and a case that panics prints
+/// its number and seed on the way out, so `SplitMix64::new(seed)` replays
+/// it alone.
+pub fn for_each_case(base: u64, cases: u64, mut property: impl FnMut(&mut SplitMix64)) {
+    struct NameOnPanic {
+        case: u64,
+        seed: u64,
+    }
+    impl Drop for NameOnPanic {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!(
+                    "property failed at case {} (seed {:#018x})",
+                    self.case, self.seed
+                );
+            }
+        }
+    }
+    let mut seeds = SplitMix64::new(base);
+    for case in 0..cases {
+        let seed = seeds.next_u64();
+        let _named = NameOnPanic { case, seed };
+        property(&mut SplitMix64::new(seed));
+    }
+}
+
 /// Evaluates the named failpoint.
 ///
 /// Returns `true` when a configured `Action::ReturnErr` fires, telling
@@ -133,7 +202,7 @@ mod active {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-    use super::SiteSpec;
+    use super::{SiteSpec, SplitMix64};
 
     /// What a firing failpoint does.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -301,38 +370,6 @@ mod active {
     impl Drop for Scenario {
         fn drop(&mut self) {
             clear();
-        }
-    }
-
-    /// SplitMix64: a tiny, high-quality deterministic PRNG. Used for
-    /// schedule generation and exported so test harnesses can derive their
-    /// workloads from the same seed.
-    #[derive(Debug, Clone)]
-    pub struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        /// Seeds the generator.
-        pub fn new(seed: u64) -> Self {
-            SplitMix64(seed)
-        }
-
-        /// Next 64 pseudo-random bits.
-        pub fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        /// Uniform value in `[0, bound)`; `bound` must be non-zero.
-        pub fn below(&mut self, bound: u64) -> u64 {
-            self.next_u64() % bound
-        }
-
-        /// Uniform value in `[lo, hi]` (inclusive).
-        pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-            lo + self.below(hi - lo + 1)
         }
     }
 
@@ -680,7 +717,7 @@ mod sync {
 #[cfg(feature = "failpoints")]
 pub use active::{
     clear, configure, deconfigure, eval, fired, hits, scenario, total_fired, Action, FirePolicy,
-    Scenario, Schedule, ScheduleEntry, SplitMix64,
+    Scenario, Schedule, ScheduleEntry,
 };
 
 #[cfg(feature = "failpoints")]
@@ -688,6 +725,34 @@ pub use sync::{
     eval_sync, sync_role, sync_scenario, sync_scenario_with_timeout, SyncRole, SyncSchedule,
     SyncSession, SyncStep,
 };
+
+#[cfg(test)]
+mod rng_tests {
+    use super::*;
+
+    #[test]
+    fn for_each_case_replays_the_same_cases() {
+        let draw = |base| {
+            let mut seen = Vec::new();
+            for_each_case(base, 5, |rng| seen.push((rng.next_u64(), rng.below(10))));
+            seen
+        };
+        assert_eq!(draw(7), draw(7));
+        assert_ne!(draw(7), draw(8));
+        assert_eq!(draw(7).len(), 5);
+        assert!(draw(7).windows(2).all(|w| w[0] != w[1]), "cases repeat");
+    }
+
+    #[test]
+    fn draws_stay_in_range() {
+        let mut rng = SplitMix64::new(1);
+        for _ in 0..10_000 {
+            assert!((0.0..1.0).contains(&rng.unit_f64()));
+            assert!((3..=9).contains(&rng.range(3, 9)));
+            assert!(rng.below(7) < 7);
+        }
+    }
+}
 
 #[cfg(all(test, feature = "failpoints"))]
 mod tests {

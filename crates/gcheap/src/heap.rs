@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use oak_sync::{Mutex, RwLock};
 
 use crate::model::{HeapModel, ObjToken};
 use crate::stats::GcStats;

@@ -40,4 +40,4 @@ pub mod scan;
 pub use checker::{check_history, CheckStats, Violation};
 pub use history::{transform, History, Op, OpRecord, Recorder, Ret};
 pub use recovery::{check_recovery, state_digest, AckRecord, RecoveryVerdict, StateDigest};
-pub use runner::{run_and_check, run_recorded, KeyShape, SplitMix64, WorkloadCfg};
+pub use runner::{run_and_check, run_recorded, KeyShape, WorkloadCfg};

@@ -17,31 +17,10 @@
 use std::sync::atomic::AtomicU64;
 
 use oak_core::OrderedKvMap;
+use oak_failpoints::SplitMix64;
 
 use crate::checker::{check_history, CheckStats, Violation};
 use crate::history::{History, Recorder};
-
-/// SplitMix64 — tiny, seedable, and identical on every platform.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(pub u64);
-
-impl SplitMix64 {
-    /// Next raw 64-bit draw (not an `Iterator`: the stream is infinite
-    /// and draws are consumed through [`Self::below`] in practice).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `0..n` (`n > 0`).
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// Key family of a workload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,7 +83,7 @@ fn worker(
     cfg: &WorkloadCfg,
     t: usize,
 ) -> Vec<crate::history::OpRecord> {
-    let mut rng = SplitMix64(cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let mut rng = SplitMix64::new(cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut rec = Recorder::new(map, clock, t);
     let ks = cfg.keyspace as u64;
     let key = |i| key(cfg.keys, i);

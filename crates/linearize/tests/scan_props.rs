@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use oak_core::{OakMap, OakMapConfig, OrderedKvMap, ShardedOakMap};
-use oak_linearize::SplitMix64;
+use oak_failpoints::SplitMix64;
 
 const UNIVERSE: usize = 96;
 
@@ -63,7 +63,7 @@ fn seed_map(map: &dyn OrderedKvMap) {
 }
 
 fn churn(map: &dyn OrderedKvMap, seed: u64, stop: &AtomicBool) {
-    let mut rng = SplitMix64(seed);
+    let mut rng = SplitMix64::new(seed);
     while !stop.load(Ordering::Relaxed) {
         let i = rng.below(UNIVERSE as u64) as usize;
         if is_stable(i) {
@@ -144,7 +144,7 @@ fn run_props(map: &dyn OrderedKvMap, scans_per_thread: usize, seed: u64) {
         let scanners: Vec<_> = (0..2u64)
             .map(|t| {
                 s.spawn(move || {
-                    let mut rng = SplitMix64(seed ^ (0xace5 + t));
+                    let mut rng = SplitMix64::new(seed ^ (0xace5 + t));
                     for round in 0..scans_per_thread {
                         let a = rng.below(UNIVERSE as u64) as usize;
                         let b = rng.below(UNIVERSE as u64) as usize;
@@ -249,7 +249,7 @@ fn batch_and_per_entry_scans_agree_with_model() {
     let per_entry = OakMap::with_config(cramped().batch_scan(false));
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
-    let mut rng = SplitMix64(0xe9a1);
+    let mut rng = SplitMix64::new(0xe9a1);
     for _ in 0..600 {
         let i = rng.below(UNIVERSE as u64) as usize;
         match rng.below(3) {

@@ -51,7 +51,7 @@ mod enabled {
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use parking_lot::Mutex;
+    use oak_sync::Mutex;
 
     use super::AllocClass;
     use crate::refs::SliceRef;

@@ -461,7 +461,7 @@ mod tests {
         let iters: u64 = if cfg!(miri) { 40 } else { 5_000 };
         let threads = 4u64;
         let s = Arc::new(ClassStack::new(16));
-        let popped = Arc::new(parking_lot::Mutex::new(Vec::<u64>::new()));
+        let popped = Arc::new(oak_sync::Mutex::new(Vec::<u64>::new()));
         let mut handles = Vec::new();
         for t in 0..threads {
             let s = Arc::clone(&s);

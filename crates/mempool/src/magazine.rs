@@ -27,7 +27,7 @@
 //!   address would outlive the pool and could poison a new pool reusing the
 //!   same address; the rack dies with its pool.
 //!
-//! An uncontended `parking_lot` mutex acquisition is a single CAS, so a
+//! An uncontended futex-mutex acquisition is a single CAS, so a
 //! magazine hit costs one CAS on a slot nothing else touches — the
 //! contended path (free-list lock plus first-fit search) is reserved for
 //! refills and flushes, which [`PoolStats::magazine_hits`] vs
@@ -35,7 +35,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
+use oak_sync::Mutex;
 
 use crate::freelist::GRANULARITY;
 

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use parking_lot::Mutex;
+use oak_sync::Mutex;
 
 use crate::arena::Arena;
 use crate::audit::AllocClass;

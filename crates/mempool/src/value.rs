@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use oak_sync::Mutex;
 
 use crate::audit::AllocClass;
 use crate::error::{AccessError, AllocError, ContendedInfo, ValueOpError};

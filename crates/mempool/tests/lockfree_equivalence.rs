@@ -4,31 +4,13 @@
 //! equivalent* to the plain mutex free list: the same operation sequence
 //! succeeds or fails identically, live contents are never clobbered, and
 //! the byte accounting balances to the reserved capacity in both modes.
-//! (These are written against a deterministic xorshift op stream rather
-//! than proptest so they run in every configuration, including Miri.)
+//! (The op streams are seeded, so both pool modes replay the same one,
+//! and short under `cfg(miri)`, so they run in every configuration.)
 
 use std::sync::Arc;
 
+use oak_failpoints::SplitMix64;
 use oak_mempool::{AllocError, MemoryPool, PoolConfig, SliceRef};
-
-/// Deterministic xorshift64* — the test must replay identically in both
-/// pool modes, so no external RNG.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -39,7 +21,7 @@ enum Op {
 }
 
 fn op_stream(seed: u64, len: usize) -> Vec<Op> {
-    let mut rng = Rng(seed | 1);
+    let mut rng = SplitMix64::new(seed);
     // Track the live count the replay will see (FreeNth is a no-op on an
     // empty set) and keep the working set well under the pool budget:
     // below budget, *both* modes must satisfy every request — the
@@ -176,7 +158,7 @@ fn lockfree_concurrent_churn_stays_coherent() {
         for t in 0..4u64 {
             let pool = Arc::clone(&pool);
             s.spawn(move || {
-                let mut rng = Rng(0xACE1 << t | 1);
+                let mut rng = SplitMix64::new(0xACE1 << t);
                 let mut live: Vec<(SliceRef, u8)> = Vec::new();
                 for i in 0..iters {
                     // Keep the working set well under budget: this test

@@ -5,10 +5,11 @@
 //! alloc/free sequence as the real list. The real list must return the
 //! *same offsets* (first-fit is deterministic), keep free segments
 //! disjoint and never adjacent, and keep `free_bytes` exactly equal to
-//! `capacity - live bytes` after every single step.
+//! `capacity - live bytes` after every single step. Each property runs 64
+//! seeded cases ([`for_each_case`]); a failing case prints its seed.
 
+use oak_failpoints::{for_each_case, SplitMix64};
 use oak_mempool::FreeList;
-use proptest::prelude::*;
 
 const GRAN: u32 = 8;
 const CAPACITY: u32 = 4096;
@@ -65,11 +66,17 @@ impl Model {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u64 = 64;
 
-    #[test]
-    fn random_alloc_free_matches_model(words in prop::collection::vec(any::<u64>(), 1..300)) {
+/// `1..=max_len` raw words; each test decodes an op from a word's bits.
+fn words(rng: &mut SplitMix64, max_len: u64) -> Vec<u64> {
+    (0..rng.range(1, max_len)).map(|_| rng.next_u64()).collect()
+}
+
+#[test]
+fn random_alloc_free_matches_model() {
+    for_each_case(0xA1, CASES, |rng| {
+        let words = words(rng, 299);
         let mut fl = FreeList::new(CAPACITY);
         let mut model = Model::new(CAPACITY);
         let mut live: Vec<(u32, u32)> = Vec::new();
@@ -79,15 +86,19 @@ proptest! {
                 let len = (((w >> 8) % 32) as u32 + 1) * GRAN;
                 let got = fl.allocate(len);
                 let want = model.allocate(len);
-                prop_assert_eq!(got, want, "first-fit divergence for len {}", len);
+                assert_eq!(got, want, "first-fit divergence for len {}", len);
                 if let Some(off) = got {
                     for &(o, l) in &live {
-                        prop_assert!(
+                        assert!(
                             off + len <= o || o + l <= off,
-                            "allocated [{},+{}) overlaps live [{},+{})", off, len, o, l
+                            "allocated [{},+{}) overlaps live [{},+{})",
+                            off,
+                            len,
+                            o,
+                            l
                         );
                     }
-                    prop_assert!(off as u64 + len as u64 <= CAPACITY as u64);
+                    assert!(off as u64 + len as u64 <= CAPACITY as u64);
                     live.push((off, len));
                 }
             } else {
@@ -99,23 +110,26 @@ proptest! {
             // Structural invariants (disjoint, coalesced, granular) plus
             // exact byte accounting, after every operation.
             fl.check_invariants();
-            prop_assert_eq!(fl.free_bytes(), model.free_bytes());
-            prop_assert_eq!(fl.segment_count(), model.segs.len());
+            assert_eq!(fl.free_bytes(), model.free_bytes());
+            assert_eq!(fl.segment_count(), model.segs.len());
             let live_sum: u64 = live.iter().map(|&(_, l)| l as u64).sum();
-            prop_assert_eq!(fl.free_bytes() + live_sum, CAPACITY as u64);
+            assert_eq!(fl.free_bytes() + live_sum, CAPACITY as u64);
         }
         // Drain: freeing everything must coalesce back to one full segment.
         for (off, len) in live.drain(..) {
             fl.free(off, len);
         }
         fl.check_invariants();
-        prop_assert_eq!(fl.free_bytes(), CAPACITY as u64);
-        prop_assert_eq!(fl.segment_count(), 1);
-        prop_assert_eq!(fl.largest_segment(), CAPACITY);
-    }
+        assert_eq!(fl.free_bytes(), CAPACITY as u64);
+        assert_eq!(fl.segment_count(), 1);
+        assert_eq!(fl.largest_segment(), CAPACITY);
+    });
+}
 
-    #[test]
-    fn largest_segment_bounds_allocatability(words in prop::collection::vec(any::<u64>(), 1..80)) {
+#[test]
+fn largest_segment_bounds_allocatability() {
+    for_each_case(0xA2, CASES, |rng| {
+        let words = words(rng, 79);
         // `largest_segment` is exactly the largest request the list can
         // still satisfy: one byte (granule) more must fail.
         let mut fl = FreeList::new(CAPACITY);
@@ -134,11 +148,11 @@ proptest! {
         let largest = fl.largest_segment();
         if largest > 0 {
             let off = fl.allocate(largest);
-            prop_assert!(off.is_some(), "largest_segment {} not allocatable", largest);
+            assert!(off.is_some(), "largest_segment {} not allocatable", largest);
             fl.free(off.unwrap(), largest);
         }
-        prop_assert!(fl.allocate(largest + GRAN).is_none());
-    }
+        assert!(fl.allocate(largest + GRAN).is_none());
+    });
 }
 
 /// Regression: freeing the final segment, whose end sits exactly at

@@ -11,11 +11,14 @@
 //! * `remove` is idempotent — exactly one caller succeeds;
 //! * reads after delete fail cleanly, never returning stale bytes;
 //! * resize (move) keeps contents equal to the model byte-for-byte.
+//!
+//! Each policy runs 64 seeded cases ([`for_each_case`]); a failing case
+//! prints its seed.
 
 use std::sync::Arc;
 
+use oak_failpoints::{for_each_case, SplitMix64};
 use oak_mempool::{AccessError, HeaderRef, MemoryPool, PoolConfig, ReclamationPolicy, ValueStore};
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -35,23 +38,25 @@ enum Op {
     ComputeShrink(usize),
 }
 
-fn payloads() -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(any::<u8>(), 0..48)
+fn payload(rng: &mut SplitMix64) -> Vec<u8> {
+    (0..rng.below(48)).map(|_| rng.next_u64() as u8).collect()
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            payloads().prop_map(Op::Alloc),
-            (any::<usize>(), payloads()).prop_map(|(i, p)| Op::Put(i, p)),
-            (any::<usize>(), payloads()).prop_map(|(i, p)| Op::Replace(i, p)),
-            any::<usize>().prop_map(Op::Remove),
-            any::<usize>().prop_map(Op::Read),
-            (any::<usize>(), any::<u8>()).prop_map(|(i, b)| Op::ComputeGrow(i, b)),
-            any::<usize>().prop_map(Op::ComputeShrink),
-        ],
-        1..200,
-    )
+fn ops(rng: &mut SplitMix64) -> Vec<Op> {
+    (0..rng.range(1, 199))
+        .map(|_| {
+            let i = rng.next_u64() as usize;
+            match rng.below(7) {
+                0 => Op::Alloc(payload(rng)),
+                1 => Op::Put(i, payload(rng)),
+                2 => Op::Replace(i, payload(rng)),
+                3 => Op::Remove(i),
+                4 => Op::Read(i),
+                5 => Op::ComputeGrow(i, rng.next_u64() as u8),
+                _ => Op::ComputeShrink(i),
+            }
+        })
+        .collect()
 }
 
 /// A tracked handle: the reference we hold and what the model says it
@@ -62,23 +67,18 @@ type Tracked = (HeaderRef, Option<Vec<u8>>);
 /// may be held, and the deleted bit must match the model — for recycled
 /// slots the *stale* reference must still read as deleted via the
 /// generation fence, even though the slot itself is live again.
-fn check_handle(
-    vs: &ValueStore,
-    h: HeaderRef,
-    model: &Option<Vec<u8>>,
-) -> Result<(), TestCaseError> {
+fn check_handle(vs: &ValueStore, h: HeaderRef, model: &Option<Vec<u8>>) {
     let state = vs.lock_state(h);
-    prop_assert!(!state.writer, "writer bit leaked");
-    prop_assert_eq!(state.readers, 0, "reader count leaked");
-    prop_assert_eq!(
+    assert!(!state.writer, "writer bit leaked");
+    assert_eq!(state.readers, 0, "reader count leaked");
+    assert_eq!(
         vs.is_deleted(h),
         model.is_none(),
         "deleted bit disagrees with model"
     );
-    Ok(())
 }
 
-fn run(ops: &[Op], policy: ReclamationPolicy) -> Result<(), TestCaseError> {
+fn run(ops: &[Op], policy: ReclamationPolicy) {
     let pool = Arc::new(MemoryPool::new(PoolConfig::small()));
     let vs = ValueStore::with_policy(pool, policy);
     let mut tracked: Vec<Tracked> = Vec::new();
@@ -96,7 +96,7 @@ fn run(ops: &[Op], policy: ReclamationPolicy) -> Result<(), TestCaseError> {
                 let idx = i % tracked.len();
                 let (h, model) = &mut tracked[idx];
                 let ok = vs.put(*h, data).unwrap();
-                prop_assert_eq!(ok, model.is_some(), "put success disagrees");
+                assert_eq!(ok, model.is_some(), "put success disagrees");
                 if model.is_some() {
                     *model = Some(data.clone());
                 }
@@ -110,10 +110,10 @@ fn run(ops: &[Op], policy: ReclamationPolicy) -> Result<(), TestCaseError> {
                 let prior = vs.replace(*h, data).unwrap();
                 match (&prior, &*model) {
                     (Some(got), Some(want)) => {
-                        prop_assert_eq!(got, want, "replace returned wrong prior")
+                        assert_eq!(got, want, "replace returned wrong prior")
                     }
                     (None, None) => {}
-                    _ => prop_assert!(false, "replace presence disagrees"),
+                    _ => panic!("replace presence disagrees"),
                 }
                 if model.is_some() {
                     *model = Some(data.clone());
@@ -126,10 +126,10 @@ fn run(ops: &[Op], policy: ReclamationPolicy) -> Result<(), TestCaseError> {
                 let idx = i % tracked.len();
                 let (h, model) = &mut tracked[idx];
                 let first = vs.remove(*h);
-                prop_assert_eq!(first, model.is_some(), "remove success disagrees");
+                assert_eq!(first, model.is_some(), "remove success disagrees");
                 // Idempotence: a second remove of the same reference must
                 // always lose.
-                prop_assert!(!vs.remove(*h), "double remove succeeded");
+                assert!(!vs.remove(*h), "double remove succeeded");
                 *model = None;
             }
             Op::Read(i) => {
@@ -140,13 +140,11 @@ fn run(ops: &[Op], policy: ReclamationPolicy) -> Result<(), TestCaseError> {
                 let (h, model) = &tracked[idx];
                 match (vs.read_to_vec(*h), model) {
                     (Ok(bytes), Some(want)) => {
-                        prop_assert_eq!(&bytes, want, "read returned wrong bytes");
-                        prop_assert_eq!(vs.value_len(*h), Ok(want.len()));
+                        assert_eq!(&bytes, want, "read returned wrong bytes");
+                        assert_eq!(vs.value_len(*h), Ok(want.len()));
                     }
                     (Err(AccessError::Deleted), None) => {}
-                    (got, want) => {
-                        prop_assert!(false, "read mismatch: {:?} vs {:?}", got, want)
-                    }
+                    (got, want) => panic!("read mismatch: {got:?} vs {want:?}"),
                 }
             }
             Op::ComputeGrow(i, byte) => {
@@ -160,7 +158,7 @@ fn run(ops: &[Op], policy: ReclamationPolicy) -> Result<(), TestCaseError> {
                     b.resize(n + 1).unwrap();
                     b.as_mut_slice()[n] = *byte;
                 });
-                prop_assert_eq!(ran.is_some(), model.is_some(), "compute presence disagrees");
+                assert_eq!(ran.is_some(), model.is_some(), "compute presence disagrees");
                 if let Some(m) = model {
                     m.push(*byte);
                 }
@@ -175,38 +173,37 @@ fn run(ops: &[Op], policy: ReclamationPolicy) -> Result<(), TestCaseError> {
                     let n = b.len() / 2;
                     b.resize(n).unwrap();
                 });
-                prop_assert_eq!(ran.is_some(), model.is_some(), "compute presence disagrees");
+                assert_eq!(ran.is_some(), model.is_some(), "compute presence disagrees");
                 if let Some(m) = model {
                     m.truncate(m.len() / 2);
                 }
             }
         }
         for (h, model) in &tracked {
-            check_handle(&vs, *h, model)?;
+            check_handle(&vs, *h, model);
         }
     }
 
     // Final sweep: every surviving value still reads back exactly.
     for (h, model) in &tracked {
         match (vs.read_to_vec(*h), model) {
-            (Ok(bytes), Some(want)) => prop_assert_eq!(&bytes, want),
+            (Ok(bytes), Some(want)) => assert_eq!(&bytes, want),
             (Err(AccessError::Deleted), None) => {}
-            (got, want) => prop_assert!(false, "final mismatch: {:?} vs {:?}", got, want),
+            (got, want) => panic!("final mismatch: {got:?} vs {want:?}"),
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn header_state_machine_retaining() {
+    for_each_case(0xB1, 64, |rng| {
+        run(&ops(rng), ReclamationPolicy::RetainHeaders)
+    });
+}
 
-    #[test]
-    fn header_state_machine_retaining(ops in ops()) {
-        run(&ops, ReclamationPolicy::RetainHeaders)?;
-    }
-
-    #[test]
-    fn header_state_machine_reclaiming(ops in ops()) {
-        run(&ops, ReclamationPolicy::ReclaimHeaders)?;
-    }
+#[test]
+fn header_state_machine_reclaiming() {
+    for_each_case(0xB2, 64, |rng| {
+        run(&ops(rng), ReclamationPolicy::ReclaimHeaders)
+    });
 }

@@ -2,13 +2,15 @@
 //!
 //! These check the allocator invariants the rest of the system leans on:
 //! no double-allocation, exact accounting, reference round-trips, and value
-//! store sequential consistency against a model.
+//! store sequential consistency against a model. Each property runs a
+//! fixed number of seeded cases ([`for_each_case`]); a failing case prints
+//! its seed.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use oak_failpoints::{for_each_case, SplitMix64};
 use oak_mempool::{AllocError, FreeList, MemoryPool, PoolConfig, SliceRef, ValueStore};
-use proptest::prelude::*;
 
 /// Model-checks the free list: random interleavings of allocs and frees must
 /// keep segments disjoint, keep accounting exact, and never hand out
@@ -19,21 +21,21 @@ enum FlOp {
     FreeNth(usize),
 }
 
-fn fl_ops() -> impl Strategy<Value = Vec<FlOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (1u32..400).prop_map(|n| FlOp::Alloc(n * 8)),
-            (0usize..64).prop_map(FlOp::FreeNth),
-        ],
-        1..200,
-    )
+fn fl_ops(rng: &mut SplitMix64) -> Vec<FlOp> {
+    (0..rng.range(1, 199))
+        .map(|_| match rng.below(2) {
+            0 => FlOp::Alloc(rng.range(1, 399) as u32 * 8),
+            _ => FlOp::FreeNth(rng.below(64) as usize),
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u64 = 64;
 
-    #[test]
-    fn freelist_never_overlaps(ops in fl_ops()) {
+#[test]
+fn freelist_never_overlaps() {
+    for_each_case(0xF1, CASES, |rng| {
+        let ops = fl_ops(rng);
         let cap = 64 * 1024;
         let mut fl = FreeList::new(cap);
         let mut live: Vec<(u32, u32)> = Vec::new();
@@ -43,7 +45,7 @@ proptest! {
                     if let Some(off) = fl.allocate(len) {
                         // Must not overlap any live allocation.
                         for &(o, l) in &live {
-                            prop_assert!(
+                            assert!(
                                 off + len <= o || o + l <= off,
                                 "overlap: new [{off},+{len}) vs live [{o},+{l})"
                             );
@@ -60,28 +62,44 @@ proptest! {
             }
             fl.check_invariants();
             let live_bytes: u64 = live.iter().map(|&(_, l)| l as u64).sum();
-            prop_assert_eq!(fl.free_bytes() + live_bytes, cap as u64);
+            assert_eq!(fl.free_bytes() + live_bytes, cap as u64);
         }
-    }
+    });
+}
 
-    #[test]
-    fn slice_refs_round_trip(block in 0usize..100, offset in 0u32..1_000_000, len in 1u32..100_000) {
+#[test]
+fn slice_refs_round_trip() {
+    for_each_case(0xF2, CASES, |rng| {
+        let block = rng.below(100) as usize;
+        let offset = rng.below(1_000_000) as u32;
+        let len = rng.range(1, 99_999) as u32;
         let r = SliceRef::new(block, offset, len);
         let raw = r.to_raw();
         let back = SliceRef::from_raw(raw);
-        prop_assert_eq!(back.block(), block);
-        prop_assert_eq!(back.offset(), offset);
-        prop_assert_eq!(back.len(), len);
-        prop_assert!(!back.is_null());
-    }
+        assert_eq!(back.block(), block);
+        assert_eq!(back.offset(), offset);
+        assert_eq!(back.len(), len);
+        assert!(!back.is_null());
+    });
+}
 
-    /// Pool allocations hold their contents: write a fingerprint into every
-    /// allocation, free a random subset, allocate more, and verify the
-    /// survivors are intact (i.e. reuse never clobbers live data).
-    #[test]
-    fn pool_preserves_live_contents(sizes in prop::collection::vec(1usize..2048, 1..100),
-                                    free_mask in prop::collection::vec(any::<bool>(), 1..100)) {
-        let pool = MemoryPool::new(PoolConfig { magazines: false, lockfree: false, arena_size: 1 << 16, max_arenas: 64, ..Default::default() });
+/// Pool allocations hold their contents: write a fingerprint into every
+/// allocation, free a random subset, allocate more, and verify the
+/// survivors are intact (i.e. reuse never clobbers live data).
+#[test]
+fn pool_preserves_live_contents() {
+    for_each_case(0xF3, CASES, |rng| {
+        let sizes: Vec<usize> = (0..rng.range(1, 99))
+            .map(|_| rng.range(1, 2047) as usize)
+            .collect();
+        let free_mask: Vec<bool> = (0..rng.range(1, 99)).map(|_| rng.below(2) == 1).collect();
+        let pool = MemoryPool::new(PoolConfig {
+            magazines: false,
+            lockfree: false,
+            arena_size: 1 << 16,
+            max_arenas: 64,
+            ..Default::default()
+        });
         let mut live: HashMap<u64, u8> = HashMap::new();
         for (i, &sz) in sizes.iter().enumerate() {
             let r = pool.allocate(sz).unwrap();
@@ -99,15 +117,20 @@ proptest! {
         for (&raw, &tag) in &live {
             let r = SliceRef::from_raw(raw);
             let s = unsafe { pool.slice(r) };
-            prop_assert!(s.iter().all(|&b| b == tag), "clobbered allocation");
+            assert!(s.iter().all(|&b| b == tag), "clobbered allocation");
         }
-    }
+    });
+}
 
-    /// The value store agrees with a sequential model under arbitrary
-    /// single-threaded op sequences.
-    #[test]
-    fn value_store_matches_model(ops in prop::collection::vec(0u8..5, 1..200),
-                                 payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 1..200)) {
+/// The value store agrees with a sequential model under arbitrary
+/// single-threaded op sequences.
+#[test]
+fn value_store_matches_model() {
+    for_each_case(0xF4, CASES, |rng| {
+        let ops: Vec<u8> = (0..rng.range(1, 199)).map(|_| rng.below(5) as u8).collect();
+        let payloads: Vec<Vec<u8>> = (0..rng.range(1, 199))
+            .map(|_| (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect())
+            .collect();
         let vs = ValueStore::new(Arc::new(MemoryPool::new(PoolConfig::small())));
         let mut handles: Vec<(oak_mempool::HeaderRef, Option<Vec<u8>>)> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
@@ -121,7 +144,7 @@ proptest! {
                     let idx = i % handles.len();
                     let (h, model) = &mut handles[idx];
                     let ok = vs.put(*h, data).unwrap();
-                    prop_assert_eq!(ok, model.is_some());
+                    assert_eq!(ok, model.is_some());
                     if model.is_some() {
                         *model = Some(data.clone());
                     }
@@ -130,16 +153,16 @@ proptest! {
                     let idx = i % handles.len();
                     let (h, model) = &mut handles[idx];
                     let ok = vs.remove(*h);
-                    prop_assert_eq!(ok, model.is_some());
+                    assert_eq!(ok, model.is_some());
                     *model = None;
                 }
                 3 if !handles.is_empty() => {
                     let idx = i % handles.len();
                     let (h, model) = &handles[idx];
                     match (vs.read_to_vec(*h), model) {
-                        (Ok(bytes), Some(m)) => prop_assert_eq!(&bytes, m),
+                        (Ok(bytes), Some(m)) => assert_eq!(&bytes, m),
                         (Err(_), None) => {}
-                        (got, want) => prop_assert!(false, "mismatch: {:?} vs {:?}", got, want),
+                        (got, want) => panic!("mismatch: {got:?} vs {want:?}"),
                     }
                 }
                 4 if !handles.is_empty() => {
@@ -150,7 +173,7 @@ proptest! {
                         b.resize(n + 1).unwrap();
                         b.as_mut_slice()[n] = 0xAB;
                     });
-                    prop_assert_eq!(res.is_some(), model.is_some());
+                    assert_eq!(res.is_some(), model.is_some());
                     if let Some(m) = model {
                         m.push(0xAB);
                     }
@@ -158,7 +181,7 @@ proptest! {
                 _ => {}
             }
         }
-    }
+    });
 }
 
 /// Deterministic regression: pool exhaustion surfaces as an error, never a

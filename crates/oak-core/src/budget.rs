@@ -18,6 +18,7 @@
 
 use std::time::{Duration, Instant};
 
+use oak_failpoints::SplitMix64;
 use oak_mempool::MemoryPool;
 
 use crate::error::OakError;
@@ -142,18 +143,10 @@ impl OpBudget {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Mutable retry bookkeeping for one operation attempt loop.
 pub(crate) struct RetryState {
     attempts: u32,
-    jitter: u64,
+    jitter: SplitMix64,
 }
 
 impl RetryState {
@@ -162,7 +155,7 @@ impl RetryState {
     pub(crate) fn new(seed: u64) -> Self {
         RetryState {
             attempts: 0,
-            jitter: seed | 1,
+            jitter: SplitMix64::new(seed),
         }
     }
 
@@ -195,7 +188,7 @@ impl RetryState {
             let raw = base.saturating_mul(1u64 << exp).min(cap);
             // Decorrelated jitter in [raw/2, raw].
             let half = raw / 2;
-            let jittered = half + splitmix64(&mut self.jitter) % (raw - half + 1);
+            let jittered = self.jitter.range(half, raw);
             let mut sleep = Duration::from_micros(jittered);
             if let Some(d) = budget.deadline {
                 sleep = sleep.min(d.saturating_duration_since(Instant::now()));

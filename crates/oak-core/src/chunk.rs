@@ -48,7 +48,7 @@ use std::cmp::Ordering as KeyOrder;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock};
+use oak_sync::{Mutex, RwLock};
 
 use oak_mempool::{HeaderRef, MemoryPool, SliceRef};
 

@@ -14,7 +14,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crossbeam_epoch::{self as epoch, Atomic, Owned};
+use oak_sync::epoch::{self, Atomic, Owned};
 
 use oak_skiplist::SkipListMap;
 

@@ -75,7 +75,7 @@ impl<C: KeyComparator> OakMap<C> {
     }
 
     /// The rebalance body, entered with the chunk engaged.
-    fn rebalance_engaged(&self, chunk: &Arc<Chunk>, _engaged: parking_lot::MutexGuard<'_, ()>) {
+    fn rebalance_engaged(&self, chunk: &Arc<Chunk>, _engaged: oak_sync::MutexGuard<'_, ()>) {
         if chunk.replacement().is_some() {
             return;
         }

@@ -48,7 +48,7 @@ use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use oak_mempool::{MemoryPool, SliceRef};
-use parking_lot::Mutex;
+use oak_sync::Mutex;
 
 /// Number of pin-counter stripes; threads are spread round-robin to keep
 /// the pin/unpin hot path from serializing on one cache line.

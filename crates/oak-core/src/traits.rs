@@ -30,7 +30,7 @@ use oak_mempool::PoolStats;
 use oak_skiplist::btree::LockedBTreeMap;
 use oak_skiplist::offheap::OffHeapSkipListMap;
 use oak_skiplist::SkipListMap;
-use parking_lot::Mutex;
+use oak_sync::Mutex;
 
 use crate::cmp::KeyComparator;
 use crate::error::OakError;

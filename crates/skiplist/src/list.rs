@@ -23,8 +23,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 use oak_gcheap::{HeapModel, NoopHeap, ObjToken};
+use oak_sync::epoch::{self, Atomic, Guard, Owned, Shared};
 
 use crate::rng;
 
@@ -881,9 +881,6 @@ where
 }
 
 impl<K, V> Drop for SkipListMap<K, V> {
-    // drop_non_drop: whether `Owned` frees on drop depends on the epoch
-    // backend; the drop calls are the point of this destructor.
-    #[allow(clippy::drop_non_drop)]
     fn drop(&mut self) {
         // Exclusive access: collect every reachable node once (a node
         // unlinked at the bottom may still be linked at an upper level),

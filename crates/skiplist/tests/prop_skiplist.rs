@@ -1,10 +1,11 @@
 //! Property tests: the skiplist must agree with `std::collections::BTreeMap`
 //! under arbitrary sequential operation mixes, including ordered queries.
+//! 48 seeded cases ([`for_each_case`]); a failing case prints its seed.
 
 use std::collections::BTreeMap;
 
+use oak_failpoints::{for_each_case, SplitMix64};
 use oak_skiplist::{PutOutcome, SkipListMap};
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -20,29 +21,32 @@ enum Op {
     Descend(u16, u16),
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Put(k % 128, v)),
-            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::PutIfAbsent(k % 128, v)),
-            any::<u16>().prop_map(|k| Op::Remove(k % 128)),
-            any::<u16>().prop_map(|k| Op::Get(k % 128)),
-            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Compute(k % 128, v)),
-            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Merge(k % 128, v)),
-            (any::<u16>(), any::<bool>()).prop_map(|(k, i)| Op::Floor(k % 128, i)),
-            (any::<u16>(), any::<bool>()).prop_map(|(k, i)| Op::Ceiling(k % 128, i)),
-            (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::Range(a % 128, b % 128)),
-            (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::Descend(a % 128, b % 128)),
-        ],
-        1..400,
-    )
+fn ops(rng: &mut SplitMix64) -> Vec<Op> {
+    (0..rng.range(1, 399))
+        .map(|_| {
+            let k = rng.below(128) as u16;
+            let v = rng.next_u64() as u32;
+            let flag = rng.below(2) == 1;
+            match rng.below(10) {
+                0 => Op::Put(k, v),
+                1 => Op::PutIfAbsent(k, v),
+                2 => Op::Remove(k),
+                3 => Op::Get(k),
+                4 => Op::Compute(k, v),
+                5 => Op::Merge(k, v),
+                6 => Op::Floor(k, flag),
+                7 => Op::Ceiling(k, flag),
+                8 => Op::Range(k, rng.below(128) as u16),
+                _ => Op::Descend(k, rng.below(128) as u16),
+            }
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn matches_btreemap(ops in ops()) {
+#[test]
+fn matches_btreemap() {
+    for_each_case(0x5C1, 48, |rng| {
+        let ops = ops(rng);
         let sl = SkipListMap::<u16, u32>::new();
         let mut model: BTreeMap<u16, u32> = BTreeMap::new();
 
@@ -51,30 +55,30 @@ proptest! {
                 Op::Put(k, v) => {
                     let out = sl.put(k, v);
                     let old = model.insert(k, v);
-                    prop_assert_eq!(out == PutOutcome::Replaced, old.is_some());
+                    assert_eq!(out == PutOutcome::Replaced, old.is_some());
                 }
                 Op::PutIfAbsent(k, v) => {
                     let inserted = sl.put_if_absent(k, v);
                     let absent = !model.contains_key(&k);
-                    prop_assert_eq!(inserted, absent);
+                    assert_eq!(inserted, absent);
                     if absent {
                         model.insert(k, v);
                     }
                 }
                 Op::Remove(k) => {
                     let removed = sl.remove(&k);
-                    prop_assert_eq!(removed, model.remove(&k).is_some());
+                    assert_eq!(removed, model.remove(&k).is_some());
                 }
                 Op::Get(k) => {
-                    prop_assert_eq!(sl.get_cloned(&k), model.get(&k).copied());
+                    assert_eq!(sl.get_cloned(&k), model.get(&k).copied());
                 }
                 Op::Compute(k, add) => {
                     let did = sl.compute_if_present(&k, |v| v.wrapping_add(add));
                     if let Some(v) = model.get_mut(&k) {
-                        prop_assert!(did);
+                        assert!(did);
                         *v = v.wrapping_add(add);
                     } else {
-                        prop_assert!(!did);
+                        assert!(!did);
                     }
                 }
                 Op::Merge(k, v) => {
@@ -91,25 +95,26 @@ proptest! {
                     } else {
                         model.range(..k).next_back().map(|(a, b)| (*a, *b))
                     };
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
                 Op::Ceiling(k, inclusive) => {
                     let got = sl.ceiling_with(&k, inclusive, |k, v| (*k, *v));
                     let want = if inclusive {
                         model.range(k..).next().map(|(a, b)| (*a, *b))
                     } else {
-                        model.range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
+                        model
+                            .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
                             .next()
                             .map(|(a, b)| (*a, *b))
                     };
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
                 Op::Range(a, b) => {
                     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                     let got = sl.collect_range(Some(&lo), Some(&hi));
                     let want: Vec<(u16, u32)> =
                         model.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
                 Op::Descend(a, b) => {
                     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
@@ -121,17 +126,17 @@ proptest! {
                     let mut want: Vec<(u16, u32)> =
                         model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
                     want.reverse();
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
             }
-            prop_assert_eq!(sl.len(), model.len());
+            assert_eq!(sl.len(), model.len());
         }
 
         // Final full-content comparison.
         let got = sl.collect_range(None, None);
         let want: Vec<(u16, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(got, want);
-    }
+        assert_eq!(got, want);
+    });
 }
 
 /// Direct checks for the probe-based floor search used by Oak's index.

@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use oak_bench::adapter::{MapAdapter, TraitAdapter};
+use oak_bench::adapter::MapAdapter;
 use oak_bench::driver::{ingest, run_fixed_ops};
 use oak_bench::report::{Row, Summary};
 use oak_bench::workload::{Mix, WorkloadConfig};
@@ -72,7 +72,7 @@ impl Group<'_> {
 
     /// Warms `map` up with a tenth of [`POINT_OPS`] of `mix`, then times
     /// the full count.
-    fn point(&mut self, case: &str, map: &dyn MapAdapter, wl: &WorkloadConfig, mix: Mix) {
+    fn point(&mut self, case: &str, map: &MapAdapter, wl: &WorkloadConfig, mix: Mix) {
         run_fixed_ops(map, wl, mix, POINT_OPS / 10);
         let took = run_fixed_ops(map, wl, mix, POINT_OPS);
         self.push(case, map.len(), POINT_OPS, took);
@@ -87,7 +87,7 @@ fn ablate_chunk_size(out: &mut Summary) {
     };
     let wl = wl();
     for cap in [64u32, 256, 1024, 4096] {
-        let map = TraitAdapter::new(
+        let map = MapAdapter::new(
             "OakMap",
             OakMap::with_config(OakMapConfig::default().chunk_capacity(cap).pool(pool())),
         );
@@ -107,7 +107,7 @@ fn ablate_rebalance_policy(out: &mut Summary) {
     for (label, ratio) in [("bypass-0.5", 0.5f64), ("eager-0.05", 0.05)] {
         let mut cfg = OakMapConfig::default().pool(pool());
         cfg.rebalance_unsorted_ratio = ratio;
-        let map = TraitAdapter::new("OakMap", OakMap::with_config(cfg));
+        let map = MapAdapter::new("OakMap", OakMap::with_config(cfg));
         ingest(&map, &wl);
         g.point(label, &map, &wl, Mix::PutOnly);
     }
@@ -184,14 +184,14 @@ fn ablate_btree(out: &mut Summary) {
         name: "ablate_btree",
     };
     let wl = wl();
-    let oak = TraitAdapter::new(
+    let oak = MapAdapter::new(
         "OakMap",
         OakMap::with_config(OakMapConfig::default().pool(pool())),
     );
     ingest(&oak, &wl);
-    let btree = TraitAdapter::new("MapDB-BTree", LockedBTreeMap::new(pool()));
+    let btree = MapAdapter::new("MapDB-BTree", LockedBTreeMap::new(pool()));
     ingest(&btree, &wl);
-    let cases: [(&str, &dyn MapAdapter, Mix); 4] = [
+    let cases: [(&str, &MapAdapter, Mix); 4] = [
         ("Oak-get", &oak, Mix::GetZeroCopy),
         ("BTree-get", &btree, Mix::GetZeroCopy),
         ("Oak-put", &oak, Mix::PutOnly),
@@ -216,7 +216,7 @@ fn ablate_reclamation(out: &mut Summary) {
         ("retain-headers", ReclamationPolicy::RetainHeaders),
         ("reclaim-headers", ReclamationPolicy::ReclaimHeaders),
     ] {
-        let map = TraitAdapter::new(
+        let map = MapAdapter::new(
             "OakMap",
             OakMap::with_config(OakMapConfig::default().pool(pool()).reclamation(policy)),
         );
@@ -233,7 +233,7 @@ fn ablate_key_skew(out: &mut Summary) {
         name: "ablate_key_skew_get",
     };
     for (label, wl) in [("uniform", wl()), ("zipf-0.99", wl().zipfian(0.99))] {
-        let map = TraitAdapter::new(
+        let map = MapAdapter::new(
             "OakMap",
             OakMap::with_config(OakMapConfig::default().pool(pool())),
         );

@@ -1,75 +1,15 @@
 //! The benchmark-facing adapter over the workspace-wide
-//! [`OrderedKvMap`](oak_core::OrderedKvMap)/[`ZeroCopyRead`] traits.
+//! [`OrderedKvMap`] trait.
 //!
-//! Historically this module carried one hand-rolled adapter per
-//! competitor; every compared map now implements the shared traits in
-//! `oak_core`, so a single generic [`TraitAdapter`] covers the whole
-//! artifact competitor set: `OakMap` (ZC and Copy), `ShardedOak-N`,
+//! Every compared map implements that trait in `oak_core`, so one
+//! [`MapAdapter`] over a boxed trait object covers the whole artifact
+//! competitor set: `OakMap` (ZC and Copy), `ShardedOak-N`,
 //! `JavaSkipListMap` (= `Skiplist-OnHeap`), `OffHeapList`
 //! (= `Skiplist-OffHeap`), and the MapDB-style B-tree.
 
 use std::hint::black_box;
 
-use oak_core::ZeroCopyRead;
-
-/// Uniform interface for the benchmark driver. All methods take serialized
-/// keys/values; `touch`-style reads consume the value bytes through
-/// `black_box` so the compiler cannot elide the access.
-pub trait MapAdapter: Send + Sync {
-    /// Solution name for reports (artifact names).
-    fn name(&self) -> &str;
-
-    /// Shard count behind this solution (1 for unsharded maps); surfaced
-    /// as a report column.
-    fn shards(&self) -> usize {
-        1
-    }
-
-    /// Insert or replace.
-    fn put(&self, key: &[u8], value: &[u8]);
-
-    /// Insert if absent; true when inserted.
-    fn put_if_absent(&self, key: &[u8], value: &[u8]) -> bool;
-
-    /// Zero-copy get: touches the value bytes in place.
-    fn get_zc(&self, key: &[u8]) -> bool;
-
-    /// Copying get (legacy API shape): materializes the value.
-    fn get_copy(&self, key: &[u8]) -> Option<Vec<u8>>;
-
-    /// In-place update of the first 8 value bytes (Fig 4b's workload).
-    fn compute8(&self, key: &[u8]) -> bool;
-
-    /// Remove the mapping.
-    fn remove(&self, key: &[u8]) -> bool;
-
-    /// Ascending scan of up to `len` pairs from `from`; `stream` selects
-    /// the object-reusing API where the solution has one. Returns pairs
-    /// visited.
-    fn ascend(&self, from: &[u8], len: usize, stream: bool) -> usize;
-
-    /// Descending scan of up to `len` pairs from `from` downward.
-    fn descend(&self, from: &[u8], len: usize, stream: bool) -> usize;
-
-    /// Bounded ascending scan over `[lo, hi)` — the `4g` range-scan
-    /// workload. Returns pairs visited.
-    fn range(&self, lo: &[u8], hi: &[u8], stream: bool) -> usize;
-
-    /// Live mappings.
-    fn len(&self) -> usize;
-
-    /// Whether the map is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Off-heap pool statistics, for solutions backed by an
-    /// [`oak_mempool`] pool. Used to surface contention / failure counters
-    /// in the report; `None` for on-heap competitors.
-    fn pool_stats(&self) -> Option<oak_mempool::PoolStats> {
-        None
-    }
-}
+use oak_core::OrderedKvMap;
 
 pub(crate) fn bump8(buf: &mut [u8]) {
     if buf.len() >= 8 {
@@ -78,24 +18,25 @@ pub(crate) fn bump8(buf: &mut [u8]) {
     }
 }
 
-/// The one [`MapAdapter`] implementation: wraps any map implementing
-/// [`ZeroCopyRead`] (which every compared solution does).
+/// Uniform interface for the benchmark driver. All methods take serialized
+/// keys/values; `touch`-style reads consume the value bytes through
+/// `black_box` so the compiler cannot elide the access.
 ///
 /// `copy_mode` redirects `get_zc` through the copying path, producing the
 /// `Oak-Copy` legacy curves of Fig 4c on the same underlying map.
-pub struct TraitAdapter<M: ZeroCopyRead> {
+pub struct MapAdapter {
     name: String,
-    map: M,
+    map: Box<dyn OrderedKvMap>,
     copy_mode: bool,
     shards: usize,
 }
 
-impl<M: ZeroCopyRead> TraitAdapter<M> {
-    /// Wraps `map` under the given report name.
-    pub fn new(name: impl Into<String>, map: M) -> Self {
-        TraitAdapter {
+impl MapAdapter {
+    /// Wraps `map` under the given report name (artifact names).
+    pub fn new(name: impl Into<String>, map: impl OrderedKvMap + 'static) -> Self {
+        MapAdapter {
             name: name.into(),
-            map,
+            map: Box::new(map),
             copy_mode: false,
             shards: 1,
         }
@@ -115,30 +56,29 @@ impl<M: ZeroCopyRead> TraitAdapter<M> {
         self
     }
 
-    /// The wrapped map (for footprint stats).
-    pub fn map(&self) -> &M {
-        &self.map
-    }
-}
-
-impl<M: ZeroCopyRead> MapAdapter for TraitAdapter<M> {
-    fn name(&self) -> &str {
+    /// Solution name for reports.
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn shards(&self) -> usize {
+    /// Shard count behind this solution (1 for unsharded maps); surfaced
+    /// as a report column.
+    pub fn shards(&self) -> usize {
         self.shards
     }
 
-    fn put(&self, key: &[u8], value: &[u8]) {
+    /// Insert or replace.
+    pub fn put(&self, key: &[u8], value: &[u8]) {
         self.map.put(key, value).expect("put");
     }
 
-    fn put_if_absent(&self, key: &[u8], value: &[u8]) -> bool {
+    /// Insert if absent; true when inserted.
+    pub fn put_if_absent(&self, key: &[u8], value: &[u8]) -> bool {
         self.map.put_if_absent(key, value).expect("putIfAbsent")
     }
 
-    fn get_zc(&self, key: &[u8]) -> bool {
+    /// Zero-copy get: touches the value bytes in place.
+    pub fn get_zc(&self, key: &[u8]) -> bool {
         if self.copy_mode {
             return self.get_copy(key).is_some();
         }
@@ -147,44 +87,44 @@ impl<M: ZeroCopyRead> MapAdapter for TraitAdapter<M> {
         })
     }
 
-    fn get_copy(&self, key: &[u8]) -> Option<Vec<u8>> {
+    /// Copying get (legacy API shape): materializes the value.
+    pub fn get_copy(&self, key: &[u8]) -> Option<Vec<u8>> {
         self.map.get_copy(key).inspect(|v| {
             black_box(v.len());
         })
     }
 
-    fn compute8(&self, key: &[u8]) -> bool {
+    /// In-place update of the first 8 value bytes (Fig 4b's workload).
+    pub fn compute8(&self, key: &[u8]) -> bool {
         self.map.compute_if_present(key, &bump8)
     }
 
-    fn remove(&self, key: &[u8]) -> bool {
+    /// Remove the mapping.
+    pub fn remove(&self, key: &[u8]) -> bool {
         self.map.remove(key)
     }
 
-    fn ascend(&self, from: &[u8], len: usize, stream: bool) -> usize {
+    /// A visit closure that touches each pair and stops after `cap` pairs.
+    fn touch(cap: usize) -> impl FnMut(&[u8], &[u8]) -> bool {
         let mut n = 0;
-        let mut touch = |k: &[u8], v: &[u8]| {
+        move |k, v| {
             black_box((k.len(), v.len()));
             n += 1;
-            n < len
-        };
-        if stream {
-            self.map.ascend(Some(from), None, &mut touch)
-        } else {
-            // Set API (per-entry objects) where the solution distinguishes
-            // one — the slower Fig 4e variant; baselines fall back to the
-            // stream scan.
-            self.map.ascend_entries(Some(from), None, &mut touch)
+            n < cap
         }
     }
 
-    fn descend(&self, from: &[u8], len: usize, stream: bool) -> usize {
-        let mut n = 0;
-        let mut touch = |k: &[u8], v: &[u8]| {
-            black_box((k.len(), v.len()));
-            n += 1;
-            n < len
-        };
+    /// Ascending scan of up to `len` pairs from `from`; `stream` selects
+    /// the object-reusing API where the solution has one (the Set API's
+    /// per-entry objects are the slower Fig 4e variant; baselines fall
+    /// back to the stream scan). Returns pairs visited.
+    pub fn ascend(&self, from: &[u8], len: usize, stream: bool) -> usize {
+        self.range_up_to(from, None, len, stream)
+    }
+
+    /// Descending scan of up to `len` pairs from `from` downward.
+    pub fn descend(&self, from: &[u8], len: usize, stream: bool) -> usize {
+        let mut touch = Self::touch(len);
         if stream {
             self.map.descend(Some(from), None, &mut touch)
         } else {
@@ -192,25 +132,35 @@ impl<M: ZeroCopyRead> MapAdapter for TraitAdapter<M> {
         }
     }
 
-    fn range(&self, lo: &[u8], hi: &[u8], stream: bool) -> usize {
-        let mut n = 0;
-        let mut touch = |k: &[u8], v: &[u8]| {
-            black_box((k.len(), v.len()));
-            n += 1;
-            true
-        };
+    /// Bounded ascending scan over `[lo, hi)` — the `4g` range-scan
+    /// workload. Returns pairs visited.
+    pub fn range(&self, lo: &[u8], hi: &[u8], stream: bool) -> usize {
+        self.range_up_to(lo, Some(hi), usize::MAX, stream)
+    }
+
+    fn range_up_to(&self, lo: &[u8], hi: Option<&[u8]>, cap: usize, stream: bool) -> usize {
+        let mut touch = Self::touch(cap);
         if stream {
-            self.map.ascend(Some(lo), Some(hi), &mut touch)
+            self.map.ascend(Some(lo), hi, &mut touch)
         } else {
-            self.map.ascend_entries(Some(lo), Some(hi), &mut touch)
+            self.map.ascend_entries(Some(lo), hi, &mut touch)
         }
     }
 
-    fn len(&self) -> usize {
+    /// Live mappings.
+    pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    fn pool_stats(&self) -> Option<oak_mempool::PoolStats> {
+    /// Whether the map is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Off-heap pool statistics, for solutions backed by an
+    /// [`oak_mempool`] pool. Used to surface contention / failure counters
+    /// in the report; `None` for on-heap competitors.
+    pub fn pool_stats(&self) -> Option<oak_mempool::PoolStats> {
         self.map.pool_stats()
     }
 }

@@ -196,7 +196,7 @@ fn main() {
                 // Deadline pressure: every 8th operation runs under a
                 // micro-deadline, so the cancellation path is continuously
                 // exercised against injected delays and contention.
-                let deadline = if n % 8 == 0 {
+                let deadline = if n.is_multiple_of(8) {
                     Duration::from_micros(150)
                 } else {
                     Duration::from_millis(deadline_ms)

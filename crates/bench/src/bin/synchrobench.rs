@@ -5,14 +5,13 @@
 //! synchrobench [--threads 1,2,4] [--size 100000] [--key-size 100]
 //!              [--value-size 1024] [--duration-ms 3000] [--scenario 4a-put]
 //!              [--csv out.csv] [--json out.json] [--quick] [--grid]
-//!              [--no-magazines] [--no-lockfree] [--no-prefix-cache]
-//!              [--no-batch-scan]
+//!              [--no-magazines] [--no-lockfree] [--no-batch-scan]
 //! ```
 //!
 //! Hot-path accelerators are on by default (the Oak pool runs with
 //! allocation magazines backed by the lock-free class stacks, Oak maps
-//! with the key-prefix cache and the chunk-batch scan pipeline); the
-//! `--no-*` flags turn each off for A/B runs. `--json` writes the same
+//! with the chunk-batch scan pipeline); the `--no-*` flags turn each off
+//! for A/B runs. `--json` writes the same
 //! rows as the CSV in a machine-readable report that also records the
 //! exact command.
 //!
@@ -78,7 +77,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let magazines = !args.iter().any(|a| a == "--no-magazines");
     let lockfree = !args.iter().any(|a| a == "--no-lockfree");
-    let prefix_cache = !args.iter().any(|a| a == "--no-prefix-cache");
     let batch_scan = !args.iter().any(|a| a == "--no-batch-scan");
 
     let grid = args.iter().any(|a| a == "--grid");
@@ -186,7 +184,6 @@ fn main() {
             duration,
             &mut summary,
             true,
-            prefix_cache,
             batch_scan,
         );
     }

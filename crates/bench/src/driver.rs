@@ -36,7 +36,7 @@ impl RunResult {
 /// Ingestion stage: a single thread populates the map with 50% of the
 /// unique keys in the range using `putIfAbsent` (§5.1). Returns inserted
 /// count and elapsed time.
-pub fn ingest(map: &dyn MapAdapter, config: &WorkloadConfig) -> (u64, Duration) {
+pub fn ingest(map: &MapAdapter, config: &WorkloadConfig) -> (u64, Duration) {
     let start = Instant::now();
     // Populate with uniform ids regardless of the measured distribution
     // (YCSB convention: skew shapes the access phase, not the load). A
@@ -62,13 +62,13 @@ pub fn ingest(map: &dyn MapAdapter, config: &WorkloadConfig) -> (u64, Duration) 
 
 /// Deterministic ingestion of exactly the even key ids (used by scan
 /// benchmarks that need a known population).
-pub fn ingest_even(map: &dyn MapAdapter, config: &WorkloadConfig) {
+pub fn ingest_even(map: &MapAdapter, config: &WorkloadConfig) {
     for id in (0..config.key_range).step_by(2) {
         map.put_if_absent(&config.key(id), &config.value(id));
     }
 }
 
-fn run_op(map: &dyn MapAdapter, config: &WorkloadConfig, mix: Mix, sampler: &mut KeySampler) {
+fn run_op(map: &MapAdapter, config: &WorkloadConfig, mix: Mix, sampler: &mut KeySampler) {
     match mix {
         Mix::PutOnly => {
             let id = sampler.next_id();
@@ -140,7 +140,7 @@ fn run_op(map: &dyn MapAdapter, config: &WorkloadConfig, mix: Mix, sampler: &mut
 /// Sustained-rate stage: `threads` symmetric workers run `mix` against the
 /// (already ingested) map for `duration`.
 pub fn sustained(
-    map: &Arc<dyn MapAdapter>,
+    map: &Arc<MapAdapter>,
     config: &WorkloadConfig,
     mix: Mix,
     threads: usize,
@@ -180,12 +180,7 @@ pub fn sustained(
 }
 
 /// Fixed-operation-count variant (deterministic work, used by the ablations).
-pub fn run_fixed_ops(
-    map: &dyn MapAdapter,
-    config: &WorkloadConfig,
-    mix: Mix,
-    ops: u64,
-) -> Duration {
+pub fn run_fixed_ops(map: &MapAdapter, config: &WorkloadConfig, mix: Mix, ops: u64) -> Duration {
     let mut sampler = KeySampler::new(config, 0);
     let start = Instant::now();
     for _ in 0..ops {
@@ -197,7 +192,6 @@ pub fn run_fixed_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::TraitAdapter;
     use oak_core::{OakMap, OakMapConfig};
     use oak_skiplist::SkipListMap;
     use oak_sync::Mutex;
@@ -215,7 +209,7 @@ mod tests {
     #[test]
     fn ingest_fills_half_the_range() {
         let config = tiny();
-        let map = TraitAdapter::new("OakMap", OakMap::with_config(OakMapConfig::small()));
+        let map = MapAdapter::new("OakMap", OakMap::with_config(OakMapConfig::small()));
         let (inserted, _) = ingest(&map, &config);
         assert_eq!(inserted, 250);
         assert_eq!(map.len(), 250);
@@ -229,7 +223,7 @@ mod tests {
         // fill spun forever. Ingestion must populate uniformly and still
         // hit the exact target.
         let config = tiny().zipfian(0.99);
-        let map = TraitAdapter::new("OakMap", OakMap::with_config(OakMapConfig::small()));
+        let map = MapAdapter::new("OakMap", OakMap::with_config(OakMapConfig::small()));
         let (inserted, _) = ingest(&map, &config);
         assert_eq!(inserted, 250);
         assert_eq!(map.len(), 250);
@@ -238,7 +232,7 @@ mod tests {
     #[test]
     fn sustained_runs_all_mixes() {
         let config = tiny();
-        let map: Arc<dyn MapAdapter> = Arc::new(TraitAdapter::new(
+        let map: Arc<MapAdapter> = Arc::new(MapAdapter::new(
             "OakMap",
             OakMap::with_config(OakMapConfig::small()),
         ));
@@ -284,7 +278,7 @@ mod tests {
     #[test]
     fn fixed_ops_deterministic_progress() {
         let config = tiny();
-        let map = TraitAdapter::new(
+        let map = MapAdapter::new(
             "JavaSkipListMap",
             SkipListMap::<Vec<u8>, Mutex<Vec<u8>>>::new(),
         );

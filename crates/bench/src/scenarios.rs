@@ -12,7 +12,7 @@ use oak_skiplist::offheap::OffHeapSkipListMap;
 use oak_skiplist::SkipListMap;
 use oak_sync::Mutex;
 
-use crate::adapter::{MapAdapter, TraitAdapter};
+use crate::adapter::MapAdapter;
 use crate::driver::{ingest, sustained};
 use crate::report::{fragmentation_pct, Row, Summary};
 use crate::workload::{KeyDistribution, Mix, WorkloadConfig};
@@ -157,78 +157,41 @@ pub fn competitors_for(label: &str) -> Vec<&'static str> {
 
 /// Builds an adapter by artifact name. `ShardedOak-N` builds an N-shard
 /// [`ShardedOakMap`] with hash-prefix routing.
-pub fn build(name: &str, pool: PoolConfig, chunk_capacity: u32) -> Arc<dyn MapAdapter> {
-    build_configured(name, pool, chunk_capacity, true, true)
+pub fn build(name: &str, pool: PoolConfig, chunk_capacity: u32) -> Arc<MapAdapter> {
+    build_configured(name, pool, chunk_capacity, true)
 }
 
-/// [`build`] with the Oak prefix cache and chunk-batch scan pipeline
-/// toggled explicitly (A/B runs; magazines ride in on `pool.magazines`).
-/// Non-Oak competitors ignore both flags.
+/// [`build`] with the Oak chunk-batch scan pipeline toggled explicitly
+/// (A/B runs; the allocator tiers ride in on `pool`). Non-Oak competitors
+/// ignore the flag.
 pub fn build_configured(
     name: &str,
     pool: PoolConfig,
     chunk_capacity: u32,
-    prefix_cache: bool,
     batch_scan: bool,
-) -> Arc<dyn MapAdapter> {
+) -> Arc<MapAdapter> {
     let oak_cfg = OakMapConfig::default()
         .chunk_capacity(chunk_capacity)
-        .prefix_cache(prefix_cache)
         .batch_scan(batch_scan)
         .pool(pool.clone());
     if let Some(n) = name.strip_prefix("ShardedOak-") {
         let shards: usize = n.parse().expect("shard count in ShardedOak-N");
         return Arc::new(
-            TraitAdapter::new(name, ShardedOakMap::with_config(shards, oak_cfg))
-                .with_shards(shards),
+            MapAdapter::new(name, ShardedOakMap::with_config(shards, oak_cfg)).with_shards(shards),
         );
     }
-    match name {
-        "OakMap" => Arc::new(TraitAdapter::new(
-            name,
-            oak_core::OakMap::with_config(oak_cfg),
-        )),
-        "Oak-Copy" => {
-            Arc::new(TraitAdapter::new(name, oak_core::OakMap::with_config(oak_cfg)).copy_mode())
-        }
-        "JavaSkipListMap" => Arc::new(TraitAdapter::new(
-            name,
-            SkipListMap::<Vec<u8>, Mutex<Vec<u8>>>::new(),
-        )),
-        "OffHeapList" => Arc::new(TraitAdapter::new(name, OffHeapSkipListMap::new(pool))),
-        "MapDB-BTree" => Arc::new(TraitAdapter::new(name, LockedBTreeMap::new(pool))),
+    Arc::new(match name {
+        "OakMap" => MapAdapter::new(name, OakMap::with_config(oak_cfg)),
+        "Oak-Copy" => MapAdapter::new(name, OakMap::with_config(oak_cfg)).copy_mode(),
+        "JavaSkipListMap" => MapAdapter::new(name, SkipListMap::<Vec<u8>, Mutex<Vec<u8>>>::new()),
+        "OffHeapList" => MapAdapter::new(name, OffHeapSkipListMap::new(pool)),
+        "MapDB-BTree" => MapAdapter::new(name, LockedBTreeMap::new(pool)),
         other => panic!("unknown competitor {other}"),
-    }
+    })
 }
 
-/// Runs one scenario across `threads` for all competitors, appending rows.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario(
-    scenario: &Scenario,
-    threads: &[usize],
-    workload: &WorkloadConfig,
-    pool: PoolConfig,
-    chunk_capacity: u32,
-    duration: Duration,
-    summary: &mut Summary,
-    verbose: bool,
-) {
-    run_scenario_configured(
-        scenario,
-        threads,
-        workload,
-        pool,
-        chunk_capacity,
-        duration,
-        summary,
-        verbose,
-        true,
-        true,
-    )
-}
-
-/// [`run_scenario`] with the Oak prefix cache and batch-scan pipeline
-/// toggled explicitly.
+/// Runs one scenario across `threads` for all competitors, appending
+/// rows. `batch_scan` toggles the Oak batch-scan pipeline (A/B runs).
 #[allow(clippy::too_many_arguments)]
 pub fn run_scenario_configured(
     scenario: &Scenario,
@@ -239,7 +202,6 @@ pub fn run_scenario_configured(
     duration: Duration,
     summary: &mut Summary,
     verbose: bool,
-    prefix_cache: bool,
     batch_scan: bool,
 ) {
     // Scenario-pinned distributions (e.g. the 4i Zipfian hotspot) override
@@ -247,8 +209,7 @@ pub fn run_scenario_configured(
     let workload = &scenario.workload(workload);
     for name in competitors_for(scenario.label) {
         for &t in threads {
-            let map =
-                build_configured(name, pool.clone(), chunk_capacity, prefix_cache, batch_scan);
+            let map = build_configured(name, pool.clone(), chunk_capacity, batch_scan);
             ingest(map.as_ref(), workload);
             let r = sustained(&map, workload, scenario.mix, t, duration);
             if verbose {
@@ -912,7 +873,6 @@ mod tests {
                 Duration::from_millis(40),
                 &mut summary,
                 false,
-                true,
                 batch,
             );
             summary
@@ -978,7 +938,6 @@ mod tests {
                 Duration::from_millis(150),
                 &mut summary,
                 false,
-                true,
                 true,
             );
             let rb = summary
@@ -1085,7 +1044,7 @@ mod tests {
             distribution: crate::workload::KeyDistribution::Uniform,
         };
         let mut summary = Summary::new();
-        run_scenario(
+        run_scenario_configured(
             &SCENARIOS[0],
             &[1],
             &wl,
@@ -1094,6 +1053,7 @@ mod tests {
             Duration::from_millis(20),
             &mut summary,
             false,
+            true,
         );
         assert_eq!(summary.rows().len(), 4); // four competitors
         assert!(summary.rows().iter().all(|r| r.mops > 0.0));

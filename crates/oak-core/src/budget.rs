@@ -16,12 +16,14 @@
 //! chaos soak and the cancellation property tests hold the map to exactly
 //! that contract, auditor-verified.
 
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use oak_failpoints::SplitMix64;
-use oak_mempool::MemoryPool;
+use oak_mempool::{ContendedInfo, MemoryPool};
 
 use crate::error::OakError;
+use crate::overload::{OverloadController, OverloadState};
 
 /// How budgeted operations respond to transient failures.
 ///
@@ -140,6 +142,119 @@ impl OpBudget {
         } else {
             Ok(())
         }
+    }
+
+    /// What a lost value-header lock wait surfaces as under this budget:
+    /// the wait was clamped by the deadline, so past it the loss is the
+    /// deadline's ([`OakError::DeadlineExceeded`]); before it, the lock
+    /// holder's ([`OakError::Contended`]).
+    pub(crate) fn lock_lost(&self, info: ContendedInfo, pool: &MemoryPool) -> OakError {
+        if self.expired() {
+            pool.note_deadline_exceeded();
+            OakError::DeadlineExceeded
+        } else {
+            OakError::Contended(info)
+        }
+    }
+}
+
+/// Everything that differs between an unbudgeted and a budgeted scan. The
+/// stream-scan skeleton of [`OakMap`](crate::OakMap) and the k-way merge of
+/// [`ShardedOakMap`](crate::ShardedOakMap) are generic over it, so each
+/// exists once; monomorphisation leaves the [`Unbounded`] instantiation
+/// with none of the budgeted one's per-entry tests and no failure path.
+pub(crate) trait ScanRules {
+    /// What a scan under these rules can fail with.
+    type Error;
+
+    /// Bound on each wait for a value's read lock (on top of the map's
+    /// `lock_wait`).
+    fn deadline(&self) -> Option<Instant>;
+
+    /// Called before each delivery with the number of entries delivered so
+    /// far: may the scan go on?
+    fn admit(&self, delivered: u64, pool: &MemoryPool) -> Result<(), Self::Error>;
+
+    /// The bounded wait for an entry's read lock was lost: `Ok` skips the
+    /// entry, `Err` ends the scan.
+    fn lock_lost(&self, info: ContendedInfo, pool: &MemoryPool) -> Result<(), Self::Error>;
+}
+
+/// The unbudgeted scan: never shed, never fails, skips a value it cannot
+/// lock in time.
+pub(crate) struct Unbounded;
+
+impl ScanRules for Unbounded {
+    type Error = Infallible;
+
+    #[inline]
+    fn deadline(&self) -> Option<Instant> {
+        None
+    }
+
+    #[inline]
+    fn admit(&self, _delivered: u64, _pool: &MemoryPool) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    #[inline]
+    fn lock_lost(&self, _info: ContendedInfo, _pool: &MemoryPool) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+/// The budgeted, cooperative scan: the deadline is checked periodically
+/// and clamps every lock wait, a lost wait is an error, and a degraded map
+/// sheds the scan once it has delivered
+/// [`degraded_scan_limit`](crate::OverloadConfig::degraded_scan_limit)
+/// entries.
+pub(crate) struct Budgeted<'a> {
+    budget: &'a OpBudget,
+    /// Entries the scan may deliver before it is shed.
+    shed_after: u64,
+}
+
+impl<'a> Budgeted<'a> {
+    /// Entries between deadline checks: cheap enough to keep overrun small,
+    /// coarse enough to keep `Instant::now` off the per-entry path.
+    const CHECK_INTERVAL: u64 = 64;
+
+    /// Opens a scan under `budget`: fails if it has already expired, and
+    /// fixes the shed limit from `ctl` and the verdict `state` reports.
+    pub(crate) fn start(
+        budget: &'a OpBudget,
+        pool: &MemoryPool,
+        ctl: &OverloadController,
+        state: impl FnOnce() -> OverloadState,
+    ) -> Result<Self, OakError> {
+        budget.check(pool)?;
+        let shed_after = ctl.scan_shed_limit(state);
+        Ok(Budgeted { budget, shed_after })
+    }
+}
+
+impl ScanRules for Budgeted<'_> {
+    type Error = OakError;
+
+    fn deadline(&self) -> Option<Instant> {
+        self.budget.deadline
+    }
+
+    fn admit(&self, delivered: u64, pool: &MemoryPool) -> Result<(), OakError> {
+        if delivered >= self.shed_after {
+            pool.note_scan_shed();
+            return Err(OakError::Overloaded);
+        }
+        if delivered > 0 && delivered.is_multiple_of(Self::CHECK_INTERVAL) && self.budget.expired()
+        {
+            pool.note_deadline_exceeded();
+            return Err(OakError::DeadlineExceeded);
+        }
+        Ok(())
+    }
+
+    fn lock_lost(&self, info: ContendedInfo, pool: &MemoryPool) -> Result<(), OakError> {
+        Err(self.budget.lock_lost(info, pool))
     }
 }
 

@@ -198,13 +198,12 @@ impl BatchEntry {
 pub(crate) struct Chunk {
     /// Lower bound of this chunk's key range (invariant over its lifetime).
     pub(crate) min_key: Box<[u8]>,
-    /// What this chunk's cached prefixes are relative to (immutable):
-    /// `None` when the map's prefix cache is off (every prefix is `0`),
-    /// otherwise the leading bytes a key must start with for the eight
-    /// bytes after them to be its prefix — see [`Chunk::key_prefix`].
-    /// Empty unless rebalance found the chunk's sorted keys sharing a
-    /// leading run under a [bytewise](KeyComparator::bytewise) comparator.
-    base: Option<Box<[u8]>>,
+    /// What this chunk's cached prefixes are relative to (immutable): the
+    /// leading bytes a key must start with for the eight bytes after them
+    /// to be its prefix — see [`Chunk::key_prefix`]. Empty unless rebalance
+    /// found the chunk's sorted keys sharing a leading run under a
+    /// [bytewise](KeyComparator::bytewise) comparator.
+    base: Box<[u8]>,
     entries: Box<[Entry]>,
     /// Number of entries in the sorted prefix (immutable after creation).
     sorted_count: u32,
@@ -241,11 +240,11 @@ pub(crate) struct Chunk {
 
 impl Chunk {
     /// Creates an empty chunk (used for the initial chunk, `minKey` = −∞).
-    /// Its prefixes are of whole keys, or absent without `prefix_cache`.
-    pub(crate) fn new_empty(capacity: u32, min_key: Box<[u8]>, prefix_cache: bool) -> Self {
+    /// Its prefixes are of whole keys.
+    pub(crate) fn new_empty(capacity: u32, min_key: Box<[u8]>) -> Self {
         Chunk {
             min_key,
-            base: prefix_cache.then(Box::default),
+            base: Box::default(),
             entries: (0..capacity).map(|_| Entry::empty()).collect(),
             sorted_count: 0,
             alloc_cursor: AtomicU32::new(0),
@@ -275,17 +274,16 @@ impl Chunk {
         items: &[Survivor<'_>],
         pool: &MemoryPool,
         cmp: &C,
-        prefix_cache: bool,
     ) -> Self {
         let n = items.len() as u32;
         assert!(n <= capacity);
-        let mut chunk = Chunk::new_empty(capacity, min_key, prefix_cache);
-        if prefix_cache && cmp.bytewise() {
+        let mut chunk = Chunk::new_empty(capacity, min_key);
+        if cmp.bytewise() {
             if let (Some(first), Some(last)) = (items.first(), items.last()) {
                 // SAFETY: key buffers are immutable and live.
                 let (a, b) = unsafe { (pool.slice(first.key), pool.slice(last.key)) };
                 let skip = a.iter().zip(b).take_while(|(x, y)| x == y).count();
-                chunk.base = Some(a[..skip].into());
+                chunk.base = a[..skip].into();
             }
         }
         for (i, it) in items.iter().enumerate() {
@@ -528,7 +526,8 @@ impl Chunk {
     }
 
     /// The one place a key's prefix relative to this chunk is computed
-    /// (`0` = no information).
+    /// (`0` = no information; always, under a comparator whose
+    /// [`prefix`](KeyComparator::prefix) is `None`).
     ///
     /// A key that starts with the chunk's base maps to the comparator's
     /// prefix of the bytes after it; a key that does not sorts before or
@@ -541,11 +540,8 @@ impl Chunk {
     /// contract carries over to the suffixes. A badly chosen base
     /// therefore costs ties (full compares), never a wrong order.
     fn key_prefix<C: KeyComparator>(&self, cmp: &C, key: &[u8]) -> u64 {
-        let Some(base) = &self.base else {
-            return 0;
-        };
-        let skip = base.len();
-        match key[..key.len().min(skip)].cmp(base) {
+        let skip = self.base.len();
+        match key[..key.len().min(skip)].cmp(&self.base) {
             KeyOrder::Equal => cmp.prefix(&key[skip..]).unwrap_or(0),
             KeyOrder::Less => BELOW_BASE,
             KeyOrder::Greater => ABOVE_BASE,
@@ -573,7 +569,7 @@ impl Chunk {
     /// Length of this chunk's base (test support).
     #[cfg(test)]
     pub(crate) fn skip(&self) -> usize {
-        self.base.as_ref().map_or(0, |b| b.len())
+        self.base.len()
     }
 
     /// Quiescent check for [`OakMap::validate`](crate::OakMap::validate):
@@ -650,7 +646,10 @@ impl Chunk {
     /// entry (one off-heap dereference per hit). Each step consults the
     /// entry's cached prefix first and dereferences off-heap key bytes
     /// only on a prefix tie.
-    fn prefix_floor<C: KeyComparator>(&self, probe: &Probe<'_, C>) -> Option<(u32, bool)> {
+    pub(crate) fn prefix_floor<C: KeyComparator>(
+        &self,
+        probe: &Probe<'_, C>,
+    ) -> Option<(u32, bool)> {
         let n = self.sorted_count;
         if n == 0 {
             return None;
@@ -1043,7 +1042,7 @@ mod tests {
     #[test]
     fn empty_chunk_lookup() {
         let p = pool();
-        let c = Chunk::new_empty(16, Box::new([]), true);
+        let c = Chunk::new_empty(16, Box::new([]));
         assert_eq!(c.lookup(&p, &Lexicographic, b"x"), None);
         assert_eq!(c.lower_bound(&p, &Lexicographic, b"x"), NONE);
     }
@@ -1051,7 +1050,7 @@ mod tests {
     #[test]
     fn insert_and_lookup_bypasses() {
         let p = pool();
-        let c = Chunk::new_empty(16, Box::new([]), true);
+        let c = Chunk::new_empty(16, Box::new([]));
         for key in [b"m", b"c", b"x", b"a", b"t"] {
             insert(&c, &p, key, 7);
         }
@@ -1069,7 +1068,7 @@ mod tests {
     #[test]
     fn duplicate_key_reports_existing() {
         let p = pool();
-        let c = Chunk::new_empty(16, Box::new([]), true);
+        let c = Chunk::new_empty(16, Box::new([]));
         let first = insert(&c, &p, b"dup", 1);
         let kr = alloc_key(&p, b"dup");
         let idx = c.allocate_entry(&Lexicographic, kr, b"dup").unwrap();
@@ -1082,9 +1081,9 @@ mod tests {
     #[test]
     fn sorted_chunk_binary_search() {
         let p = pool();
-        let src = Chunk::new_empty(1, Box::new([]), true);
+        let src = Chunk::new_empty(1, Box::new([]));
         let items = survivors(&src, &p, (0..50).map(|i| format!("k{i:03}")));
-        let c = Chunk::new_sorted(64, Box::new([]), &items, &p, &Lexicographic, true);
+        let c = Chunk::new_sorted(64, Box::new([]), &items, &p, &Lexicographic);
         assert_eq!(c.sorted_count(), 50);
         // "k000".."k049" share "k0"; the prefixes were re-derived past it.
         assert_eq!(c.skip(), 2);
@@ -1129,8 +1128,8 @@ mod tests {
         }
         let stem = b"0000000000000001";
         for skip in 0..=stem.len() {
-            let mut c = Chunk::new_empty(4, Box::new([]), true);
-            c.base = Some(stem[..skip].into());
+            let mut c = Chunk::new_empty(4, Box::new([]));
+            c.base = stem[..skip].into();
             for a in &keys {
                 for b in &keys {
                     let pa = c.key_prefix(&Lexicographic, a);
@@ -1141,9 +1140,11 @@ mod tests {
                 }
             }
         }
-        // Cache off: no information for any key.
-        let off = Chunk::new_empty(4, Box::new([]), false);
-        assert!(keys.iter().all(|k| off.key_prefix(&Lexicographic, k) == 0));
+        // Where the comparator has no prefix for a key (`U64BeComparator`
+        // off eight bytes): no information.
+        let c = Chunk::new_empty(4, Box::new([]));
+        let mut odd = keys.iter().filter(|k| k.len() != 8);
+        assert!(odd.all(|k| c.key_prefix(&crate::cmp::U64BeComparator, k) == 0));
     }
 
     /// A replacement chunk with the same base carries cached prefixes; one
@@ -1152,23 +1153,23 @@ mod tests {
     #[test]
     fn new_sorted_carries_or_rederives_prefixes() {
         let p = pool();
-        let src = Chunk::new_empty(1, Box::new([]), true);
+        let src = Chunk::new_empty(1, Box::new([]));
         let items = survivors(&src, &p, (0..40).map(|i| format!("id-{:04}", 95 + i)));
-        let wide = Chunk::new_sorted(64, Box::new([]), &items, &p, &Lexicographic, true);
+        let wide = Chunk::new_sorted(64, Box::new([]), &items, &p, &Lexicographic);
         assert_eq!(wide.skip(), 4, "id-0095..id-0134 share \"id-0\"");
         wide.assert_prefixes(&p, &Lexicographic);
 
         let (live, dead) = wide.partition_entries(|v| v != 0);
         assert!(dead.is_empty());
         let before = p.stats().offheap_key_derefs;
-        let same = Chunk::new_sorted(64, Box::new([]), &live, &p, &Lexicographic, true);
+        let same = Chunk::new_sorted(64, Box::new([]), &live, &p, &Lexicographic);
         assert_eq!(same.skip(), 4);
         assert_eq!(p.stats().offheap_key_derefs, before, "same base: carried");
         same.assert_prefixes(&p, &Lexicographic);
 
         // The upper half alone shares one more byte ("id-01").
         let upper = &live[5..];
-        let narrow = Chunk::new_sorted(64, Box::new([]), upper, &p, &Lexicographic, true);
+        let narrow = Chunk::new_sorted(64, Box::new([]), upper, &p, &Lexicographic);
         assert_eq!(narrow.skip(), 4 + 1);
         assert_eq!(
             p.stats().offheap_key_derefs - before,
@@ -1205,7 +1206,7 @@ mod tests {
     #[test]
     fn chunk_fills_up() {
         let p = pool();
-        let c = Chunk::new_empty(8, Box::new([]), true);
+        let c = Chunk::new_empty(8, Box::new([]));
         for i in 0..8u32 {
             insert(&c, &p, format!("{i}").as_bytes(), 1);
         }
@@ -1216,7 +1217,7 @@ mod tests {
     #[test]
     fn freeze_blocks_publish_and_linking() {
         let p = pool();
-        let c = Chunk::new_empty(16, Box::new([]), true);
+        let c = Chunk::new_empty(16, Box::new([]));
         insert(&c, &p, b"pre", 1);
         c.freeze();
         assert!(c.is_frozen());
@@ -1233,7 +1234,7 @@ mod tests {
 
     #[test]
     fn freeze_waits_for_inflight_publication() {
-        let c = Arc::new(Chunk::new_empty(16, Box::new([]), true));
+        let c = Arc::new(Chunk::new_empty(16, Box::new([])));
         assert!(c.publish());
         let c2 = c.clone();
         let froze = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -1252,9 +1253,9 @@ mod tests {
     #[test]
     fn needs_reorg_tracks_unsorted_ratio() {
         let p = pool();
-        let src = Chunk::new_empty(1, Box::new([]), true);
+        let src = Chunk::new_empty(1, Box::new([]));
         let items = survivors(&src, &p, (0..20).map(|i| format!("s{i:03}")));
-        let c = Chunk::new_sorted(64, Box::new([]), &items, &p, &Lexicographic, true);
+        let c = Chunk::new_sorted(64, Box::new([]), &items, &p, &Lexicographic);
         assert!(!c.needs_reorg(0.5));
         for i in 0..11u32 {
             insert(&c, &p, format!("u{i:03}").as_bytes(), 1);
@@ -1265,7 +1266,7 @@ mod tests {
     #[test]
     fn concurrent_inserts_distinct_keys() {
         let p = pool();
-        let c = Arc::new(Chunk::new_empty(1024, Box::new([]), true));
+        let c = Arc::new(Chunk::new_empty(1024, Box::new([])));
         let mut handles = Vec::new();
         for t in 0..4u32 {
             let c = c.clone();

@@ -33,18 +33,6 @@ pub struct OakMapConfig {
     /// forever; [`ReclamationPolicy::ReclaimHeaders`] recycles them through
     /// generation-checked references (§3.3's epoch-based extension).
     pub reclamation: ReclamationPolicy,
-    /// Cache an order-preserving 64-bit key prefix on-heap in each entry
-    /// and compare prefixes before dereferencing off-heap key bytes
-    /// (search touches the pool only on prefix ties). Under a
-    /// [bytewise](crate::KeyComparator::bytewise) comparator the prefix
-    /// is relative to the entry's chunk: the eight bytes after the
-    /// leading run the chunk's sorted keys share. Disabling stores a `0`
-    /// ("no information") prefix everywhere, making every comparison a
-    /// full off-heap compare — the pre-cache behaviour, kept for A/B
-    /// benchmarking. Comparators without an order-preserving prefix
-    /// ([`KeyComparator::prefix`](crate::KeyComparator::prefix) returning
-    /// `None`) get full compares regardless of this flag.
-    pub prefix_cache: bool,
     /// Scan in chunk-resident batches: cursors snapshot a chunk's sorted
     /// live entries in one pass (one staleness/revision check per *chunk*)
     /// and drain from a reusable on-heap buffer. Disabling falls back to
@@ -71,7 +59,6 @@ impl Default for OakMapConfig {
             pool: PoolConfig::default(),
             shared_arenas: None,
             reclamation: ReclamationPolicy::RetainHeaders,
-            prefix_cache: true,
             batch_scan: true,
             lock_wait: DEFAULT_LOCK_WAIT,
             overload: OverloadConfig::default(),
@@ -112,12 +99,6 @@ impl OakMapConfig {
     /// Sets the pool configuration.
     pub fn pool(mut self, pool: PoolConfig) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Enables or disables the on-heap key-prefix cache.
-    pub fn prefix_cache(mut self, on: bool) -> Self {
-        self.prefix_cache = on;
         self
     }
 
@@ -166,11 +147,27 @@ impl OakMapConfig {
         // below ever changes meaning.
         eat(&1u32.to_le_bytes());
         eat(&self.chunk_capacity.to_le_bytes());
-        eat(&[u8::from(self.prefix_cache)]);
+        // Where the deleted prefix-cache toggle was encoded (the cache is
+        // always on since): keeps existing checkpoint images opening.
+        eat(&[1u8]);
         eat(&[match self.reclamation {
             ReclamationPolicy::RetainHeaders => 0u8,
             ReclamationPolicy::ReclaimHeaders => 1u8,
         }]);
         h
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Checkpoint manifests store the fingerprint and `open` refuses an
+    /// image whose value differs, so the value of an unchanged
+    /// configuration may never move: this is the value at commit `9202885`,
+    /// when the encoding still had a prefix-cache toggle byte.
+    #[test]
+    fn default_fingerprint_is_pinned() {
+        assert_eq!(OakMapConfig::default().fingerprint(), 0x1c1f_7f70_72a0_569d);
     }
 }

@@ -219,11 +219,7 @@ mod tests {
     use crate::cmp::Lexicographic;
 
     fn chunk(min_key: &[u8]) -> Arc<Chunk> {
-        Arc::new(Chunk::new_empty(
-            8,
-            min_key.to_vec().into_boxed_slice(),
-            true,
-        ))
+        Arc::new(Chunk::new_empty(8, min_key.to_vec().into_boxed_slice()))
     }
 
     #[test]

@@ -36,8 +36,9 @@
 
 use std::sync::Arc;
 
-use oak_mempool::{HeaderRef, ScanLock, SliceRef};
+use oak_mempool::{AccessError, HeaderRef, ScanLock, SliceRef, ValueStore};
 
+use crate::budget::{Budgeted, ScanRules, Unbounded};
 use crate::buffer::OakRBuffer;
 use crate::chunk::{BatchEntry, Chunk, NONE};
 use crate::cmp::KeyComparator;
@@ -52,14 +53,162 @@ use crate::reclaim::EpochPin;
 /// most this many prefix cells below the upper bound.
 const SCAN_BATCH: usize = 128;
 
-/// How a batch drain delivers one entry's value to the visit closure.
+/// How a cursor's drain delivers one entry's value to the visit closure.
 pub(crate) enum ValueView<'a> {
     /// The bytes, delivered under the batch's fill-time read-lock lease:
     /// no per-entry lock acquisition or address translation remains.
     Leased(&'a [u8]),
-    /// No lease (Set-API cursor, or a writer was active at fill time):
-    /// read through the value store's waiting path.
+    /// No lease (Set-API cursor, per-entry mode, or a writer was active at
+    /// fill time): read through the value store's waiting path.
     Read(HeaderRef),
+}
+
+/// What the scan skeletons need from a cursor, in either direction: the
+/// stream scan ([`OakMap::stream_scan`]) pushes through `drain`, the
+/// Set-API iterators and the sharded k-way merge pull through `next_raw`.
+pub(crate) trait ScanCursor {
+    /// Advances to the next live entry, returning raw references.
+    fn next_raw(&mut self) -> Option<(SliceRef, HeaderRef)>;
+
+    /// Bulk drain: feeds every remaining live entry to `f` as resolved key
+    /// bytes plus a [`ValueView`], until `f` returns `false` or the scan
+    /// ends. Equivalent to repeated `next_raw`, but in batch mode a whole
+    /// batch span is walked inline — no per-entry key translation, and (on
+    /// a stream cursor) no per-entry lock traffic: leased entries hand out
+    /// the payload bytes resolved at fill time, still covered by the
+    /// fill-time read lock.
+    fn drain(&mut self, f: impl FnMut(&[u8], ValueView<'_>) -> bool);
+}
+
+/// One chunk-batch of a scan: the reusable snapshot buffer and, on a
+/// stream cursor, the value read locks taken while it was filled.
+///
+/// Stream-drain cursors ([`OakMap::for_each_in`] and friends) lease each
+/// entry's read lock at fill time: independent CASes pipeline across the
+/// snapshot walk, and the drain then delivers payload bytes with no
+/// per-entry lock traffic. A lease is retired as its entry is delivered;
+/// an early-stopped scan's undrained tail releases at the next fill or on
+/// drop. Set-API cursors take none — their consumers read values at their
+/// own pace (an iterator may be held indefinitely, and a lease would block
+/// writers for that long).
+///
+/// Every `unsafe` step of the lease protocol is here, once.
+struct LeasedBatch<'a> {
+    store: &'a ValueStore,
+    /// Live entries of the current chunk-batch in ascending order, key
+    /// addresses resolved at fill time. Capacity survives refills, so a
+    /// whole scan allocates O(1) buffers.
+    entries: Vec<BatchEntry>,
+    /// Take fill-time leases (stream cursor)?
+    leased: bool,
+}
+
+impl<'a> LeasedBatch<'a> {
+    fn new(store: &'a ValueStore, leased: bool) -> Self {
+        LeasedBatch {
+            store,
+            entries: Vec::new(),
+            leased,
+        }
+    }
+
+    /// Releases every lease still held. Tokens are zeroed, so release is
+    /// exactly-once even though both refill and drop call here.
+    fn release(&mut self) {
+        if !self.leased {
+            return;
+        }
+        for e in &mut self.entries {
+            if e.hbase != 0 {
+                // SAFETY: the token was minted by `scan_lock` during this
+                // batch's fill and the read lock is still held.
+                unsafe { self.store.scan_unlock(e.hbase) };
+                e.hbase = 0;
+            }
+        }
+    }
+
+    /// Replaces the batch with a snapshot of up to `max` live entries of
+    /// `chunk` from entry `start` on, leasing their values on a stream
+    /// cursor. Bounds and result are
+    /// [`collect_batch`](Chunk::collect_batch)'s.
+    fn fill<C: KeyComparator>(
+        &mut self,
+        map: &OakMap<C>,
+        chunk: &Chunk,
+        start: u32,
+        strict_after: Option<&[u8]>,
+        hi: Option<(&[u8], bool)>,
+        max: usize,
+    ) -> (u32, bool) {
+        self.release();
+        let pool = map.pool();
+        if self.entries.capacity() > 0 {
+            pool.note_scan_buffer_reuse();
+        }
+        self.entries.clear();
+        let (store, leased) = (self.store, self.leased);
+        let out = chunk.collect_batch(
+            pool,
+            &map.cmp,
+            start,
+            strict_after,
+            hi,
+            max,
+            |h| {
+                if leased {
+                    // A header a writer holds right now degrades that one
+                    // entry to the waiting read path at drain time.
+                    match store.scan_lock(h) {
+                        ScanLock::Held { hbase, vptr, vlen } => Some((hbase, vptr, vlen)),
+                        ScanLock::Contended => Some((0, 0, 0)),
+                        ScanLock::Dead => None,
+                    }
+                } else if store.is_deleted(h) {
+                    None
+                } else {
+                    Some((0, 0, 0))
+                }
+            },
+            &mut self.entries,
+        );
+        pool.note_scan_chunk_batch();
+        out
+    }
+
+    /// Hands entry `i` to `f`; returns whether the drain should go on.
+    #[inline]
+    fn deliver(&mut self, i: usize, f: &mut impl FnMut(&[u8], ValueView<'_>) -> bool) -> bool {
+        let item = self.entries[i];
+        // SAFETY: the filling cursor holds its epoch pin for its lifetime.
+        let kb = unsafe { item.key_bytes() };
+        if item.hbase == 0 {
+            return f(kb, ValueView::Read(item.hdr));
+        }
+        oak_failpoints::fail_point!("value/read");
+        let vb: &[u8] = if item.vlen == 0 {
+            &[]
+        } else {
+            // SAFETY: the fill-time read lock is still held, so the payload
+            // cannot be torn, resized, or freed under the callback.
+            unsafe { std::slice::from_raw_parts(item.vptr as *const u8, item.vlen as usize) }
+        };
+        let keep = f(kb, ValueView::Leased(vb));
+        // Retire the lease the moment the callback returns: a writer is
+        // blocked for one delivery at most, never a whole batch drain (a
+        // paused scan must not wedge concurrent removes).
+        // SAFETY: minted by this batch's fill, still held.
+        unsafe { self.store.scan_unlock(item.hbase) };
+        self.entries[i].hbase = 0;
+        keep
+    }
+}
+
+impl Drop for LeasedBatch<'_> {
+    fn drop(&mut self) {
+        // An early-stopped scan's undrained tail still holds its leases.
+        self.release();
+    }
 }
 
 /// Shared ascending walker over live entries.
@@ -68,6 +217,10 @@ pub(crate) enum ValueView<'a> {
 /// by both the Set-API [`EntryIter`] and the zero-copy stream scan
 /// ([`OakMap::for_each_in`]) so scan fixes land once.
 pub(crate) struct AscendCursor<'a, C: KeyComparator> {
+    /// The current chunk-batch (and, on a stream cursor, its leases).
+    /// Declared first so that it drops first: an early-stopped scan's
+    /// leases are released before the rest of the cursor is torn down.
+    batch: LeasedBatch<'a>,
     map: &'a OakMap<C>,
     chunk: Option<Arc<Chunk>>,
     entry: u32,
@@ -90,16 +243,6 @@ pub(crate) struct AscendCursor<'a, C: KeyComparator> {
     pin: Arc<EpochPin>,
     /// Batch mode on (`OakMapConfig::batch_scan`)?
     batch_mode: bool,
-    /// Stream-drain cursors take each entry's value read lock at fill
-    /// time (a bounded lease, retired as each entry is delivered — an
-    /// early-stopped scan's undrained tail releases at refill/drop), so
-    /// the drain delivers pre-resolved bytes with no lock waits. Off for
-    /// Set-API cursors, whose consumers read values at their own pace.
-    locked_scan: bool,
-    /// Reusable snapshot buffer: live entries of the current chunk-batch
-    /// in ascending order, key addresses resolved at fill time. Capacity
-    /// survives refills, so a whole scan allocates O(1) buffers.
-    batch: Vec<BatchEntry>,
     /// Next undrained element of `batch`.
     batch_pos: usize,
     /// The chunk's revision stamp when `batch` was snapshotted; a refill
@@ -111,75 +254,84 @@ pub(crate) struct AscendCursor<'a, C: KeyComparator> {
 }
 
 impl<'a, C: KeyComparator> AscendCursor<'a, C> {
-    /// Set-API cursor: values are read by the consumer at its own pace,
-    /// so no fill-time leases are taken (an iterator may be held
-    /// indefinitely, and a lease would block writers for that long).
+    /// Set-API cursor: no fill-time leases (see [`LeasedBatch`]).
     pub(crate) fn new(map: &'a OakMap<C>, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Self {
         Self::with_mode(map, lo, hi, false)
     }
 
-    /// Stream-drain cursor: bounded-lifetime scans
-    /// ([`OakMap::for_each_in`] and friends) take fill-time value leases
-    /// — see [`Self::locked_scan`].
+    /// Stream-drain cursor: fill-time value leases on.
     pub(crate) fn new_stream(map: &'a OakMap<C>, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Self {
         Self::with_mode(map, lo, hi, true)
     }
 
-    fn with_mode(
-        map: &'a OakMap<C>,
-        lo: Option<&[u8]>,
-        hi: Option<&[u8]>,
-        locked_scan: bool,
-    ) -> Self {
+    fn with_mode(map: &'a OakMap<C>, lo: Option<&[u8]>, hi: Option<&[u8]>, leased: bool) -> Self {
         // Pin *before* locating: the safety argument needs the
         // unreplaced-observation of every entered chunk to happen pinned.
         let pin = Arc::new(map.reclaim.pin());
-        let chunk = match lo {
-            Some(k) => map.locate_chunk(k),
-            None => map.first_chunk(),
-        };
-        let entry = match lo {
-            Some(k) => chunk.lower_bound(map.pool(), &map.cmp, k),
-            None => chunk.head_entry(),
-        };
         let mut cursor = AscendCursor {
             map,
-            chunk: Some(chunk.clone()),
-            entry,
+            chunk: None,
+            entry: NONE,
             lo: lo.map(|l| l.into()),
             hi: hi.map(|h| h.into()),
             last_key: None,
             resumed: false,
             pin,
             batch_mode: map.config.batch_scan,
-            locked_scan,
-            batch: Vec::new(),
+            batch: LeasedBatch::new(&map.store, leased),
             batch_pos: 0,
             batch_rev: 0,
             tail_done: false,
         };
+        let (chunk, entry) = cursor.resume_point();
         if cursor.batch_mode {
             cursor.fill_batch(chunk, entry, None);
+        } else {
+            (cursor.chunk, cursor.entry) = (Some(chunk), entry);
         }
         cursor
     }
 
-    /// Releases every fill-time value lease still parked in the batch
-    /// buffer. Tokens are zeroed, so release is exactly-once even though
-    /// both refill and drop call here.
-    fn release_batch_locks(&mut self) {
-        if !self.locked_scan {
-            return;
-        }
-        let store = self.map.value_store();
-        for e in &mut self.batch {
-            if e.hbase != 0 {
-                // SAFETY: the token was minted by `scan_lock` during this
-                // batch's fill and the read lock is still held.
-                unsafe { store.scan_unlock(e.hbase) };
-                e.hbase = 0;
+    /// Where the index says the scan continues: the live chunk covering
+    /// the last yielded key (the scan's lower bound, or the first chunk,
+    /// when nothing was yielded yet) and the first entry at or above it.
+    /// The start of every scan, and the re-entry after the chunk under the
+    /// cursor was replaced.
+    fn resume_point(&self) -> (Arc<Chunk>, u32) {
+        let map = self.map;
+        match self.yielded().or(self.lo.as_deref()) {
+            Some(k) => {
+                let c = map.locate_chunk(k);
+                let e = c.lower_bound(map.pool(), &map.cmp, k);
+                (c, e)
+            }
+            None => {
+                let c = map.first_chunk();
+                let e = c.head_entry();
+                (c, e)
             }
         }
+    }
+
+    /// The bytes of the last yielded key: the resume and dedup bound.
+    fn yielded(&self) -> Option<&'a [u8]> {
+        // SAFETY: key buffers are immutable; `last_key` is pinned.
+        self.last_key.map(|lk| unsafe { self.map.pool().slice(lk) })
+    }
+
+    /// The chunk after `chunk`, replacement chains resolved, and the entry
+    /// the scan resumes from in it: the first at or above the last yielded
+    /// key.
+    fn successor(&self, chunk: &Chunk) -> Option<(Arc<Chunk>, u32)> {
+        let mut n = chunk.next_chunk()?;
+        while let Some(r) = n.replacement() {
+            n = r.clone();
+        }
+        let e = match self.yielded() {
+            Some(lb) => n.lower_bound(self.map.pool(), &self.map.cmp, lb),
+            None => n.head_entry(),
+        };
+        Some((n, e))
     }
 
     /// Snapshots up to [`SCAN_BATCH`] live entries of `chunk` into the
@@ -189,13 +341,7 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
     /// (entries < successor `min_key`) already proves every entry in
     /// range, so the snapshot walk performs zero per-entry bound checks.
     fn fill_batch(&mut self, chunk: Arc<Chunk>, start: u32, strict_after: Option<&[u8]>) {
-        self.release_batch_locks();
         let map = self.map;
-        let pool = map.pool();
-        if self.batch.capacity() > 0 {
-            pool.note_scan_buffer_reuse();
-        }
-        self.batch.clear();
         self.batch_pos = 0;
         self.batch_rev = chunk.revision();
         let hi_opt: Option<(&[u8], bool)> = match &self.hi {
@@ -212,40 +358,13 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
                 }
             }
         };
-        let store = map.value_store();
-        let locked = self.locked_scan;
-        let (resume, bounded) = chunk.collect_batch(
-            pool,
-            &map.cmp,
-            start,
-            strict_after,
-            hi_opt,
-            SCAN_BATCH,
-            |h| {
-                if locked {
-                    // Fill-time lease: independent CASes pipeline across
-                    // the snapshot walk; the drain then delivers payload
-                    // bytes with no per-entry lock traffic. A header a
-                    // writer holds right now degrades that one entry to
-                    // the waiting read path at drain time.
-                    match store.scan_lock(h) {
-                        ScanLock::Held { hbase, vptr, vlen } => Some((hbase, vptr, vlen)),
-                        ScanLock::Contended => Some((0, 0, 0)),
-                        ScanLock::Dead => None,
-                    }
-                } else if store.is_deleted(h) {
-                    None
-                } else {
-                    Some((0, 0, 0))
-                }
-            },
-            &mut self.batch,
-        );
+        let (resume, bounded) =
+            self.batch
+                .fill(map, &chunk, start, strict_after, hi_opt, SCAN_BATCH);
         self.entry = resume;
         if bounded {
             self.tail_done = true;
         }
-        pool.note_scan_chunk_batch();
         self.chunk = Some(chunk);
     }
 
@@ -259,7 +378,7 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
         oak_failpoints::fail_point!("iter/batch-refill");
         let map = self.map;
         // The resume/dedup bound: the last key the drained batch yielded.
-        if let Some(&BatchEntry { key: lk, .. }) = self.batch.last() {
+        if let Some(&BatchEntry { key: lk, .. }) = self.batch.entries.last() {
             self.last_key = Some(lk);
         }
         let Some(chunk) = self.chunk.clone() else {
@@ -271,31 +390,8 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
             // already-yielded keys from repeating when the replacement's
             // range overlaps what the batch covered.
             map.pool().note_scan_revalidation();
-            match self.last_key {
-                Some(lk) => {
-                    // SAFETY: key buffers are immutable; `lk` is pinned.
-                    let lb = unsafe { map.pool().slice(lk) };
-                    let c = map.locate_chunk(lb);
-                    let e = c.lower_bound(map.pool(), &map.cmp, lb);
-                    self.fill_batch(c, e, Some(lb));
-                }
-                None => {
-                    let (c, e) = match self.lo.take() {
-                        Some(l) => {
-                            let c = map.locate_chunk(&l);
-                            let e = c.lower_bound(map.pool(), &map.cmp, &l);
-                            self.lo = Some(l);
-                            (c, e)
-                        }
-                        None => {
-                            let c = map.first_chunk();
-                            let e = c.head_entry();
-                            (c, e)
-                        }
-                    };
-                    self.fill_batch(c, e, None);
-                }
-            }
+            let (c, e) = self.resume_point();
+            self.fill_batch(c, e, self.yielded());
             return;
         }
         if self.entry != NONE {
@@ -305,37 +401,22 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
             self.fill_batch(chunk, self.entry, None);
             return;
         }
-        // Chunk exhausted: hop to the successor, resolving replacement
-        // chains.
-        let Some(mut n) = chunk.next_chunk() else {
-            self.chunk = None;
-            return;
-        };
-        while let Some(r) = n.replacement() {
-            n = r.clone();
-        }
-        match self.last_key {
-            Some(lk) => {
-                // SAFETY: key buffers are immutable; `lk` is pinned.
-                let lb = unsafe { map.pool().slice(lk) };
-                let e = n.lower_bound(map.pool(), &map.cmp, lb);
-                self.fill_batch(n, e, Some(lb));
-            }
-            None => {
-                let e = n.head_entry();
-                self.fill_batch(n, e, None);
-            }
+        // Chunk exhausted: hop to the successor.
+        match self.successor(&chunk) {
+            Some((n, e)) => self.fill_batch(n, e, self.yielded()),
+            None => self.chunk = None,
         }
     }
 
-    /// Batch-mode advance: drain the buffer, refilling between batches.
-    fn next_batch(&mut self) -> Option<(SliceRef, HeaderRef)> {
+    /// Batch-mode advance: the index in `batch` of the next entry to
+    /// yield, refilling between batches.
+    #[inline]
+    fn next_slot(&mut self) -> Option<usize> {
         loop {
-            if self.batch_pos < self.batch.len() {
+            if self.batch_pos < self.batch.entries.len() {
                 oak_failpoints::sync_point!("iter/batch-step");
-                let item = self.batch[self.batch_pos];
                 self.batch_pos += 1;
-                return Some((item.key, item.hdr));
+                return Some(self.batch_pos - 1);
             }
             if self.tail_done || self.chunk.is_none() {
                 self.chunk = None;
@@ -344,106 +425,14 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
             self.refill_batch();
         }
     }
+}
 
-    /// Bulk drain: feeds every remaining live entry to `f` as resolved
-    /// key bytes plus a [`ValueView`], until `f` returns `false` or the
-    /// scan ends. Equivalent to repeated [`next`](Self::next), but a
-    /// whole batch span is walked inline — no per-entry cursor dispatch,
-    /// no per-entry key translation, and (on a stream cursor) no
-    /// per-entry lock traffic: leased entries hand out the payload bytes
-    /// resolved at fill time, still covered by the fill-time read lock.
-    pub(crate) fn drain(&mut self, mut f: impl FnMut(&[u8], ValueView<'_>) -> bool) {
-        if !self.batch_mode {
-            while let Some((kref, h)) = self.next() {
-                // SAFETY: key buffers are immutable; `kref` is pinned.
-                let kb = unsafe { self.map.pool().slice(kref) };
-                if !f(kb, ValueView::Read(h)) {
-                    return;
-                }
-            }
-            return;
-        }
-        let store = self.map.value_store();
-        loop {
-            while self.batch_pos < self.batch.len() {
-                oak_failpoints::sync_point!("iter/batch-step");
-                let item = self.batch[self.batch_pos];
-                self.batch_pos += 1;
-                // SAFETY: the cursor's epoch pin is held for its lifetime.
-                let kb = unsafe { item.key_bytes() };
-                let keep = if item.hbase != 0 {
-                    oak_failpoints::fail_point!("value/read");
-                    // SAFETY: the fill-time read lock is still held, so the
-                    // payload cannot be torn, resized, or freed under the
-                    // callback.
-                    let vb: &[u8] = if item.vlen == 0 {
-                        &[]
-                    } else {
-                        unsafe {
-                            std::slice::from_raw_parts(item.vptr as *const u8, item.vlen as usize)
-                        }
-                    };
-                    let keep = f(kb, ValueView::Leased(vb));
-                    // Retire the lease the moment the callback returns:
-                    // a writer is blocked for one delivery at most, never
-                    // a whole batch drain (a paused scan must not wedge
-                    // concurrent removes).
-                    // SAFETY: minted by this batch's fill, still held.
-                    unsafe { store.scan_unlock(item.hbase) };
-                    self.batch[self.batch_pos - 1].hbase = 0;
-                    keep
-                } else {
-                    f(kb, ValueView::Read(item.hdr))
-                };
-                if !keep {
-                    return;
-                }
-            }
-            if self.tail_done || self.chunk.is_none() {
-                self.chunk = None;
-                return;
-            }
-            self.refill_batch();
-        }
-    }
-
-    /// The chunk under us was frozen and replaced by a concurrent
-    /// rebalance: re-locate the live chunk covering the resume point and
-    /// re-position there (the `last_key` dedup keeps already-yielded keys
-    /// from repeating when the replacement's range overlaps what we
-    /// covered).
-    fn reposition(&mut self) {
-        let map = self.map;
-        let (chunk, entry) = match self.last_key {
-            Some(lk) => {
-                // SAFETY: key buffers are immutable and never freed.
-                let lb = unsafe { map.pool().slice(lk) };
-                let c = map.locate_chunk(lb);
-                let e = c.lower_bound(map.pool(), &map.cmp, lb);
-                (c, e)
-            }
-            None => match &self.lo {
-                Some(l) => {
-                    let c = map.locate_chunk(l);
-                    let e = c.lower_bound(map.pool(), &map.cmp, l);
-                    (c, e)
-                }
-                None => {
-                    let c = map.first_chunk();
-                    let e = c.head_entry();
-                    (c, e)
-                }
-            },
-        };
-        self.entry = entry;
-        self.chunk = Some(chunk);
-        self.resumed = true;
-    }
-
-    /// Advances to the next live entry, returning raw references.
-    pub(crate) fn next(&mut self) -> Option<(SliceRef, HeaderRef)> {
+impl<C: KeyComparator> ScanCursor for AscendCursor<'_, C> {
+    fn next_raw(&mut self) -> Option<(SliceRef, HeaderRef)> {
         if self.batch_mode {
-            return self.next_batch();
+            let i = self.next_slot()?;
+            let e = &self.batch.entries[i];
+            return Some((e.key, e.hdr));
         }
         loop {
             // Unconditional per-iteration decision site, *before* the
@@ -455,28 +444,23 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
             if chunk.replacement().is_some() {
                 oak_failpoints::sync_point!("iter/stale-reenter");
                 oak_failpoints::fail_point!("iter/stale-reenter");
-                self.reposition();
+                // The `resumed` dedup keeps already-yielded keys from
+                // repeating when the replacement's range overlaps what
+                // the walk covered.
+                let (live, e) = self.resume_point();
+                (self.chunk, self.entry) = (Some(live), e);
+                self.resumed = true;
                 continue;
             }
             if self.entry == NONE {
-                // Hop to the next chunk, resolving replacement chains.
+                // Hop to the next chunk.
                 oak_failpoints::sync_point!("iter/ascend-hop");
                 oak_failpoints::fail_point!("iter/ascend-hop");
-                let Some(mut n) = chunk.next_chunk() else {
+                let Some((n, e)) = self.successor(&chunk) else {
                     self.chunk = None;
                     return None;
                 };
-                while let Some(r) = n.replacement() {
-                    n = r.clone();
-                }
-                self.entry = match self.last_key {
-                    Some(lk) => {
-                        let lb = unsafe { self.map.pool().slice(lk) };
-                        n.lower_bound(self.map.pool(), &self.map.cmp, lb)
-                    }
-                    None => n.head_entry(),
-                };
-                self.chunk = Some(n);
+                (self.chunk, self.entry) = (Some(n), e);
                 self.resumed = true;
                 continue;
             }
@@ -492,9 +476,7 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
                 }
             }
             if self.resumed {
-                if let Some(lk) = self.last_key {
-                    // SAFETY: key buffers are immutable; `lk` is pinned.
-                    let lb = unsafe { pool.slice(lk) };
+                if let Some(lb) = self.yielded() {
                     if chunk.probe(pool, cmp, lb).cmp_entry(idx) != std::cmp::Ordering::Greater {
                         continue; // already covered before a hop / re-entry
                     }
@@ -505,20 +487,30 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
             let Some(h) = chunk.value_ref(idx) else {
                 continue;
             };
-            if self.map.value_store().is_deleted(h) {
+            if self.map.store.is_deleted(h) {
                 continue;
             }
             self.last_key = Some(chunk.key_ref(idx));
             return Some((chunk.key_ref(idx), h));
         }
     }
-}
 
-impl<C: KeyComparator> Drop for AscendCursor<'_, C> {
-    fn drop(&mut self) {
-        // An early-stopped scan's undrained tail still holds its
-        // fill-time leases; retire them here.
-        self.release_batch_locks();
+    fn drain(&mut self, mut f: impl FnMut(&[u8], ValueView<'_>) -> bool) {
+        while !self.batch_mode {
+            let Some((kref, h)) = self.next_raw() else {
+                return;
+            };
+            // SAFETY: key buffers are immutable; `kref` is pinned.
+            let kb = unsafe { self.map.pool().slice(kref) };
+            if !f(kb, ValueView::Read(h)) {
+                return;
+            }
+        }
+        while let Some(i) = self.next_slot() {
+            if !self.batch.deliver(i, &mut f) {
+                return;
+            }
+        }
     }
 }
 
@@ -536,25 +528,20 @@ impl<'a, C: KeyComparator> EntryIter<'a, C> {
             cursor: AscendCursor::new(map, lo, hi),
         }
     }
-
-    /// Advances to the next live entry, returning raw references.
-    pub(crate) fn next_raw(&mut self) -> Option<(SliceRef, HeaderRef)> {
-        self.cursor.next()
-    }
 }
 
 impl<C: KeyComparator> Iterator for EntryIter<'_, C> {
     type Item = (OakRBuffer, OakRBuffer);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (kref, h) = self.next_raw()?;
+        let (kref, h) = self.cursor.next_raw()?;
         Some((
             OakRBuffer::key(
                 self.cursor.map.pool().clone(),
                 kref,
                 self.cursor.pin.clone(),
             ),
-            OakRBuffer::value(self.cursor.map.value_store().clone(), h),
+            OakRBuffer::value(self.cursor.map.store.clone(), h),
         ))
     }
 }
@@ -570,6 +557,13 @@ impl<C: KeyComparator> Iterator for EntryIter<'_, C> {
 /// bounded strictly below the last yielded key. Complexity for a scan of S
 /// keys over N: O(S/B · log N + S) instead of the skiplist's O(S log N).
 pub struct DescendIter<'a, C: KeyComparator> {
+    /// The current chunk-batch (and, on a stream iterator, its leases;
+    /// declared first so that it drops first, like [`AscendCursor`]'s): a
+    /// tail window of the chunk's in-range live entries in *ascending*
+    /// order, drained from the back. Descending scans need the highest
+    /// keys first, so the [`SCAN_BATCH`] cap bounds the window's start
+    /// *below the upper bound* (see [`Self::window_bound`]).
+    batch: LeasedBatch<'a>,
     map: &'a OakMap<C>,
     chunk: Option<Arc<Chunk>>,
     /// Entries pending in descending order (top = largest remaining).
@@ -591,26 +585,16 @@ pub struct DescendIter<'a, C: KeyComparator> {
     pin: Arc<EpochPin>,
     /// Batch mode on (`OakMapConfig::batch_scan`)?
     batch_mode: bool,
-    /// Fill-time value leases on (see [`AscendCursor::locked_scan`]).
-    locked_scan: bool,
-    /// Reusable snapshot buffer: a tail window of the current chunk's
-    /// in-range live entries in *ascending* order, drained from the
-    /// back. Descending scans need the highest keys first, so the
-    /// [`SCAN_BATCH`] cap bounds the window's start *below the upper
-    /// bound* (see [`Self::window_more`]).
-    batch: Vec<BatchEntry>,
     /// Elements of `batch` not yet drained (drain position counts down).
     rpos: usize,
     /// The chunk's revision stamp when `batch` was snapshotted.
     batch_rev: u64,
-    /// The current batch is a capped *tail window* of the chunk: in-range
-    /// entries below [`Self::window_bound`] were deliberately left
-    /// uncollected, and the refill must re-enter this chunk (bound
-    /// tightened) instead of hopping to the predecessor.
-    window_more: bool,
-    /// The key of the prefix cell the capped snapshot started from
-    /// (pinned, like `last_yielded`): the next window's exclusive upper
-    /// bound. Everything at or above it was already examined.
+    /// Set when the current batch is a capped *tail window* of the chunk:
+    /// the key of the prefix cell the snapshot started from (pinned, like
+    /// `last_yielded`). In-range entries below it were deliberately left
+    /// uncollected, so the refill must re-enter this chunk with it as the
+    /// exclusive upper bound — everything at or above it was already
+    /// examined — instead of hopping to the predecessor.
     window_bound: Option<SliceRef>,
     /// This chunk covers the scan's lower end: once `batch` drains the
     /// scan is over, no predecessor hop needed.
@@ -618,7 +602,7 @@ pub struct DescendIter<'a, C: KeyComparator> {
 }
 
 impl<'a, C: KeyComparator> DescendIter<'a, C> {
-    /// Set-API iterator: no fill-time leases (see [`AscendCursor::new`]).
+    /// Set-API iterator: no fill-time leases (see [`LeasedBatch`]).
     pub(crate) fn new(map: &'a OakMap<C>, from: Option<&[u8]>, lo: Option<&[u8]>) -> Self {
         Self::with_mode(map, from, lo, false)
     }
@@ -628,12 +612,7 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
         Self::with_mode(map, from, lo, true)
     }
 
-    fn with_mode(
-        map: &'a OakMap<C>,
-        from: Option<&[u8]>,
-        lo: Option<&[u8]>,
-        locked_scan: bool,
-    ) -> Self {
+    fn with_mode(map: &'a OakMap<C>, from: Option<&[u8]>, lo: Option<&[u8]>, leased: bool) -> Self {
         let pin = Arc::new(map.reclaim.pin());
         let mut it = DescendIter {
             map,
@@ -647,54 +626,58 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
             done: false,
             pin,
             batch_mode: map.config.batch_scan,
-            locked_scan,
-            batch: Vec::new(),
+            batch: LeasedBatch::new(&map.store, leased),
             rpos: 0,
             batch_rev: 0,
-            window_more: false,
             window_bound: None,
             tail_done: false,
         };
-        let chunk = it.start_chunk(from);
-        if it.batch_mode {
-            it.enter_chunk_batch(chunk, from.map(|f| (f, true)));
-        } else {
-            it.enter_chunk(chunk, from, true);
-        }
+        it.reposition();
         it
     }
 
-    /// Releases every fill-time value lease still parked in the batch
-    /// buffer (see [`AscendCursor::release_batch_locks`]).
-    fn release_batch_locks(&mut self) {
-        if !self.locked_scan {
-            return;
-        }
-        let store = self.map.value_store();
-        for e in &mut self.batch {
-            if e.hbase != 0 {
-                // SAFETY: the token was minted by `scan_lock` during this
-                // batch's fill and the read lock is still held.
-                unsafe { store.scan_unlock(e.hbase) };
-                e.hbase = 0;
+    /// Positions the scan at its resume point through the index — the
+    /// start of every scan, and the re-entry after the chunk under it was
+    /// replaced (its stack, bypass links or snapshot are then stale):
+    /// enters the live chunk covering the last yielded key, bounded
+    /// strictly below it so no key repeats; or, with nothing yielded yet,
+    /// the chunk covering `from`, inclusively.
+    fn reposition(&mut self) {
+        self.chunk = None;
+        let map = self.map;
+        match self.last_yielded {
+            Some(lk) => {
+                // SAFETY: key buffers are immutable; `lk` is pinned.
+                let lb = unsafe { map.pool().slice(lk) };
+                self.enter(map.locate_chunk(lb), Some((lb, false)));
+            }
+            None => {
+                let from = self.from.take();
+                let chunk = self.start_chunk(from.as_deref());
+                self.enter(chunk, from.as_deref().map(|f| (f, true)));
+                self.from = from;
             }
         }
     }
 
+    /// Enters `chunk` below the upper bound `ub = (key, inclusive)` — the
+    /// scan start, the predecessor hop's exclusive old `min_key`, or the
+    /// strict re-entry bound — in the iterator's mode.
+    fn enter(&mut self, chunk: Arc<Chunk>, ub: Option<(&[u8], bool)>) {
+        if self.batch_mode {
+            self.enter_chunk_batch(chunk, ub);
+        } else {
+            self.enter_chunk(chunk, ub);
+        }
+    }
+
     /// Snapshots `chunk`'s in-range live entries (ascending) into the
-    /// reusable buffer. `ub` is the batch's upper bound
-    /// `(key, inclusive)` — the scan start, the predecessor hop's
-    /// exclusive old `min_key`, or the strict revalidation bound; the
-    /// lower end is positioned once via `lower_bound(lo)`, so the drain
-    /// needs no per-entry `lo` checks.
+    /// reusable buffer, below the upper bound `ub`; the lower end is
+    /// positioned once via `lower_bound(lo)`, so the drain needs no
+    /// per-entry `lo` checks.
     fn enter_chunk_batch(&mut self, chunk: Arc<Chunk>, ub: Option<(&[u8], bool)>) {
-        self.release_batch_locks();
         let map = self.map;
         let pool = map.pool();
-        if self.batch.capacity() > 0 {
-            pool.note_scan_buffer_reuse();
-        }
-        self.batch.clear();
         self.batch_rev = chunk.revision();
         let mut start = match &self.lo {
             Some(l) => chunk.lower_bound(pool, &map.cmp, l),
@@ -708,70 +691,29 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
         // cells below the upper bound instead (bypass runs between the
         // cells only widen the window); a drained window re-enters this
         // chunk with the bound tightened to its start cell.
-        self.window_more = false;
         self.window_bound = None;
         let sc = chunk.sorted_count();
         if start != NONE && start < sc {
+            // Count of prefix cells within the upper bound.
             let top = match ub {
-                Some((b, inclusive)) => {
-                    // Count of prefix cells within the upper bound.
-                    let bound = chunk.probe(pool, &map.cmp, b);
-                    let (mut a, mut z) = (0i64, sc as i64);
-                    while a < z {
-                        let mid = (a + z) / 2;
-                        let below = match bound.cmp_entry(mid as u32) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Equal => inclusive,
-                            std::cmp::Ordering::Greater => false,
-                        };
-                        if below {
-                            a = mid + 1;
-                        } else {
-                            z = mid;
-                        }
-                    }
-                    a
-                }
+                Some((b, inclusive)) => match chunk.prefix_floor(&chunk.probe(pool, &map.cmp, b)) {
+                    Some((floor, exact)) => floor as i64 + i64::from(inclusive || !exact),
+                    None => 0,
+                },
                 None => sc as i64,
             };
             let capped = top - SCAN_BATCH as i64;
             if capped > start as i64 {
                 start = capped as u32;
-                self.window_more = true;
                 self.window_bound = Some(chunk.key_ref(start));
             }
         }
-        let store = map.value_store();
-        let locked = self.locked_scan;
-        chunk.collect_batch(
-            pool,
-            &map.cmp,
-            start,
-            None,
-            ub,
-            usize::MAX,
-            |h| {
-                if locked {
-                    // Fill-time lease (see the ascending fill site).
-                    match store.scan_lock(h) {
-                        ScanLock::Held { hbase, vptr, vlen } => Some((hbase, vptr, vlen)),
-                        ScanLock::Contended => Some((0, 0, 0)),
-                        ScanLock::Dead => None,
-                    }
-                } else if store.is_deleted(h) {
-                    None
-                } else {
-                    Some((0, 0, 0))
-                }
-            },
-            &mut self.batch,
-        );
-        self.rpos = self.batch.len();
-        pool.note_scan_chunk_batch();
+        self.batch.fill(map, &chunk, start, None, ub, usize::MAX);
+        self.rpos = self.batch.entries.len();
         // Predecessor chunks hold keys < minKey; when minKey ≤ lo (or
         // this is the first chunk) they are all out of range. A capped
         // window is never the end: lower in-range entries remain here.
-        self.tail_done = !self.window_more
+        self.tail_done = self.window_bound.is_none()
             && (chunk.min_key.is_empty()
                 || self.lo.as_ref().is_some_and(|l| {
                     map.cmp.compare(&chunk.min_key, l) != std::cmp::Ordering::Greater
@@ -792,128 +734,38 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
         };
         if chunk.replacement().is_some() || chunk.revision() != self.batch_rev {
             map.pool().note_scan_revalidation();
-            match self.last_yielded {
-                Some(lk) => {
-                    // SAFETY: key buffers are immutable; `lk` is pinned.
-                    let lb = unsafe { map.pool().slice(lk) };
-                    let live = map.locate_chunk(lb);
-                    self.enter_chunk_batch(live, Some((lb, false)));
-                }
-                None => {
-                    // Nothing yielded yet: redo the initial positioning.
-                    let from = self.from.take();
-                    let chunk = self.start_chunk(from.as_deref());
-                    self.enter_chunk_batch(chunk, from.as_deref().map(|f| (f, true)));
-                    self.from = from;
-                }
-            }
+            self.reposition();
             return;
         }
-        if self.window_more {
+        if let Some(wb) = self.window_bound {
             // The capped tail window drained; lower in-range entries of
             // this same chunk remain. Re-enter strictly below the
             // window's start cell — everything at or above it was
             // examined (live entries delivered, dead ones skipped; a
             // concurrent revive of a dead one counts as an insert after
             // the scan start, which §1.1 lets us miss).
-            let wb = self
-                .window_bound
-                .expect("a capped fill records its start key");
             // SAFETY: key buffers are immutable; `wb` is pinned.
             let bb = unsafe { map.pool().slice(wb) };
             self.enter_chunk_batch(chunk, Some((bb, false)));
             return;
         }
-        if chunk.min_key.is_empty() {
-            self.chunk = None; // the first chunk has no predecessor
-            return;
-        }
-        let prev = map.index.floor_before(&chunk.min_key);
-        // Everything ≥ old minKey was already returned: bound strictly.
-        self.enter_chunk_batch(prev, Some((&chunk.min_key, false)));
+        self.enter_predecessor(&chunk);
     }
 
-    /// Batch-mode advance: drain the buffer back-to-front, refilling
-    /// between chunks.
-    fn next_batch(&mut self) -> Option<(SliceRef, HeaderRef)> {
+    /// Batch-mode advance: the index in `batch` of the next entry to
+    /// yield (back to front), refilling between chunks.
+    #[inline]
+    fn next_slot(&mut self) -> Option<usize> {
         loop {
             if self.rpos > 0 {
                 oak_failpoints::sync_point!("iter/batch-step");
-                let item = self.batch[self.rpos - 1];
                 self.rpos -= 1;
-                self.last_yielded = Some(item.key);
-                return Some((item.key, item.hdr));
+                self.last_yielded = Some(self.batch.entries[self.rpos].key);
+                return Some(self.rpos);
             }
             if self.tail_done || self.chunk.is_none() {
                 self.done = true;
                 return None;
-            }
-            self.refill_batch();
-        }
-    }
-
-    /// Bulk drain (descending): see [`AscendCursor::drain`]. Honors a
-    /// parked [`skip_exact`](Self::skip_exact) lookahead first.
-    pub(crate) fn drain(&mut self, mut f: impl FnMut(&[u8], ValueView<'_>) -> bool) {
-        if let Some((kref, h)) = self.pending.take() {
-            // SAFETY: key buffers are immutable; `kref` is pinned.
-            let kb = unsafe { self.map.pool().slice(kref) };
-            if !f(kb, ValueView::Read(h)) {
-                return;
-            }
-        }
-        if self.done {
-            return;
-        }
-        if !self.batch_mode {
-            while let Some((kref, h)) = self.next_raw() {
-                // SAFETY: key buffers are immutable; `kref` is pinned.
-                let kb = unsafe { self.map.pool().slice(kref) };
-                if !f(kb, ValueView::Read(h)) {
-                    return;
-                }
-            }
-            return;
-        }
-        let store = self.map.value_store();
-        loop {
-            while self.rpos > 0 {
-                oak_failpoints::sync_point!("iter/batch-step");
-                let item = self.batch[self.rpos - 1];
-                self.rpos -= 1;
-                self.last_yielded = Some(item.key);
-                // SAFETY: the iterator's epoch pin is held for its
-                // lifetime.
-                let kb = unsafe { item.key_bytes() };
-                let keep = if item.hbase != 0 {
-                    oak_failpoints::fail_point!("value/read");
-                    // SAFETY: the fill-time read lock is still held, so the
-                    // payload cannot be torn, resized, or freed under the
-                    // callback.
-                    let vb: &[u8] = if item.vlen == 0 {
-                        &[]
-                    } else {
-                        unsafe {
-                            std::slice::from_raw_parts(item.vptr as *const u8, item.vlen as usize)
-                        }
-                    };
-                    let keep = f(kb, ValueView::Leased(vb));
-                    // Retire the lease the moment the callback returns
-                    // (see the ascending drain).
-                    // SAFETY: minted by this batch's fill, still held.
-                    unsafe { store.scan_unlock(item.hbase) };
-                    self.batch[self.rpos].hbase = 0;
-                    keep
-                } else {
-                    f(kb, ValueView::Read(item.hdr))
-                };
-                if !keep {
-                    return;
-                }
-            }
-            if self.tail_done || self.chunk.is_none() {
-                self.done = true;
-                return;
             }
             self.refill_batch();
         }
@@ -940,15 +792,16 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
     }
 
     /// Initializes the stack for `chunk`: pushes every entry with key ≤
-    /// `bound` (or < when `inclusive` is false; unbounded when `None`).
-    fn enter_chunk(&mut self, chunk: Arc<Chunk>, bound: Option<&[u8]>, inclusive: bool) {
+    /// the bound (or < when it is exclusive; unbounded when `None`).
+    fn enter_chunk(&mut self, chunk: Arc<Chunk>, ub: Option<(&[u8], bool)>) {
         let pool = self.map.pool();
         let cmp = &self.map.cmp;
         self.stack.clear();
         // The bound, probed once per chunk entry: the cell search and the
         // in-bound walk compare cached prefixes first, dereferencing
         // off-heap key bytes only on ties.
-        let bound = bound.map(|b| chunk.probe(pool, cmp, b));
+        let inclusive = ub.is_none_or(|(_, inclusive)| inclusive);
+        let bound = ub.map(|(b, _)| chunk.probe(pool, cmp, b));
 
         let in_bound = |idx: u32| match &bound {
             None => true,
@@ -959,25 +812,11 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
             },
         };
 
-        // The starting prefix cell: the last prefix entry within bound.
-        // (prefix_floor is inclusive-≤; adjust for the exclusive case by
-        // walking with `in_bound` below anyway.)
+        // The starting prefix cell: the last prefix entry with key ≤ the
+        // bound. It may still be out of bound in the exclusive case —
+        // `in_bound` filters.
         let start = match &bound {
-            Some(b) => {
-                // Largest prefix index with key ≤ b; may still be out of
-                // bound in the exclusive case — in_bound filters.
-                let n = chunk.sorted_count() as i64;
-                let (mut a, mut z) = (0i64, n);
-                while a < z {
-                    let mid = (a + z) / 2;
-                    if b.cmp_entry(mid as u32) == std::cmp::Ordering::Greater {
-                        z = mid;
-                    } else {
-                        a = mid + 1;
-                    }
-                }
-                a - 1
-            }
+            Some(b) => chunk.prefix_floor(b).map_or(-1, |(floor, _)| floor as i64),
             None => chunk.sorted_count() as i64 - 1,
         };
 
@@ -1012,29 +851,6 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
         self.chunk = Some(chunk);
     }
 
-    /// The chunk under us was frozen and replaced by a concurrent
-    /// rebalance (the stack and bypass links are a stale snapshot): chase
-    /// to the live chunk covering the resume point and rebuild the stack,
-    /// bounded strictly below the last yielded key so no key repeats.
-    fn reposition(&mut self) {
-        self.chunk = None;
-        match self.last_yielded {
-            Some(lk) => {
-                let map = self.map;
-                // SAFETY: key buffers are immutable and never freed.
-                let lb = unsafe { map.pool().slice(lk) };
-                let live = map.locate_chunk(lb);
-                self.enter_chunk(live, Some(lb), false);
-            }
-            None => {
-                // Nothing yielded yet: redo the initial positioning.
-                let from = self.from.clone();
-                let chunk = self.start_chunk(from.as_deref());
-                self.enter_chunk(chunk, from.as_deref(), true);
-            }
-        }
-    }
-
     /// Refills the stack from the next prefix cell back (Figure 2's
     /// "move one entry back in the prefix and traverse the bypass").
     fn refill(&mut self) -> bool {
@@ -1055,10 +871,7 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
                     cur = chunk.entry_next(cur);
                 }
                 self.next_prefix = -2;
-                if !self.stack.is_empty() {
-                    return true;
-                }
-                return false;
+                return !self.stack.is_empty();
             }
             // Walk from prefix cell p through its bypass run, stopping at
             // the next prefix cell (already covered by a previous run).
@@ -1080,21 +893,25 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
         }
     }
 
-    /// Moves to the chunk preceding the current one (index query for the
-    /// greatest `minKey` strictly smaller — §4.2).
+    /// Per-entry mode's hop to the chunk preceding the current one.
     fn prev_chunk(&mut self) -> bool {
         oak_failpoints::sync_point!("iter/descend-prev");
         oak_failpoints::fail_point!("iter/descend-prev");
-        let Some(chunk) = self.chunk.take() else {
-            return false;
-        };
+        match self.chunk.take() {
+            Some(chunk) => self.enter_predecessor(&chunk),
+            None => false,
+        }
+    }
+
+    /// Enters the chunk preceding `chunk` (index query for the greatest
+    /// `minKey` strictly smaller — §4.2); `false` when there is none.
+    fn enter_predecessor(&mut self, chunk: &Chunk) -> bool {
         if chunk.min_key.is_empty() {
             return false; // the first chunk has no predecessor
         }
         let prev = self.map.index.floor_before(&chunk.min_key);
         // Everything ≥ old minKey was already returned: bound strictly.
-        let bound = chunk.min_key.clone();
-        self.enter_chunk(prev, Some(&bound), false);
+        self.enter(prev, Some((&chunk.min_key, false)));
         true
     }
 
@@ -1108,9 +925,10 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
             }
         }
     }
+}
 
-    /// Next raw live entry in descending order.
-    pub(crate) fn next_raw(&mut self) -> Option<(SliceRef, HeaderRef)> {
+impl<C: KeyComparator> ScanCursor for DescendIter<'_, C> {
+    fn next_raw(&mut self) -> Option<(SliceRef, HeaderRef)> {
         if let Some(item) = self.pending.take() {
             return Some(item);
         }
@@ -1118,7 +936,9 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
             return None;
         }
         if self.batch_mode {
-            return self.next_batch();
+            let i = self.next_slot()?;
+            let e = &self.batch.entries[i];
+            return Some((e.key, e.hdr));
         }
         loop {
             oak_failpoints::sync_point!("iter/descend-step");
@@ -1151,20 +971,32 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
             let Some(h) = chunk.value_ref(idx) else {
                 continue;
             };
-            if self.map.value_store().is_deleted(h) {
+            if self.map.store.is_deleted(h) {
                 continue;
             }
             self.last_yielded = Some(chunk.key_ref(idx));
             return Some((chunk.key_ref(idx), h));
         }
     }
-}
 
-impl<C: KeyComparator> Drop for DescendIter<'_, C> {
-    fn drop(&mut self) {
-        // An early-stopped scan's undrained tail still holds its
-        // fill-time leases; retire them here.
-        self.release_batch_locks();
+    fn drain(&mut self, mut f: impl FnMut(&[u8], ValueView<'_>) -> bool) {
+        // Per-entry mode drains through `next_raw`; so does a parked
+        // `skip_exact` lookahead, which precedes the batch.
+        while !self.batch_mode || self.pending.is_some() {
+            let Some((kref, h)) = self.next_raw() else {
+                return;
+            };
+            // SAFETY: key buffers are immutable; `kref` is pinned.
+            let kb = unsafe { self.map.pool().slice(kref) };
+            if !f(kb, ValueView::Read(h)) {
+                return;
+            }
+        }
+        while let Some(i) = self.next_slot() {
+            if !self.batch.deliver(i, &mut f) {
+                return;
+            }
+        }
     }
 }
 
@@ -1175,7 +1007,7 @@ impl<C: KeyComparator> Iterator for DescendIter<'_, C> {
         let (kref, h) = self.next_raw()?;
         Some((
             OakRBuffer::key(self.map.pool().clone(), kref, self.pin.clone()),
-            OakRBuffer::value(self.map.value_store().clone(), h),
+            OakRBuffer::value(self.map.store.clone(), h),
         ))
     }
 }
@@ -1183,6 +1015,51 @@ impl<C: KeyComparator> Iterator for DescendIter<'_, C> {
 // Stream scans (no per-entry objects): the fast path Figure 4e/4f contrast
 // against the Set-API iterators above.
 impl<C: KeyComparator> OakMap<C> {
+    /// The one stream-scan body: drains `cursor` (either direction) into
+    /// `f` under `rules`, counting the entries delivered.
+    #[inline]
+    fn stream_scan<R: ScanRules>(
+        &self,
+        mut cursor: impl ScanCursor,
+        rules: &R,
+        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<u64, R::Error> {
+        let mut count: u64 = 0;
+        let mut failure = None;
+        cursor.drain(|kb, v| {
+            if let Err(e) = rules.admit(count, self.pool()) {
+                failure = Some(e);
+                return false;
+            }
+            let read = match v {
+                // Leased bytes are pre-resolved and lock-covered since
+                // fill: no waiting, so nothing for a deadline to clamp.
+                ValueView::Leased(vb) => Ok(f(kb, vb)),
+                ValueView::Read(h) => self.store.read_at(h, rules.deadline(), |vb| f(kb, vb)),
+            };
+            match read {
+                Ok(keep) => {
+                    count += 1;
+                    keep
+                }
+                Err(AccessError::Deleted) => true, // deleted under the scan: skip
+                Err(AccessError::Contended(info)) => {
+                    match rules.lock_lost(info, self.pool()) {
+                        Ok(()) => true, // skip
+                        Err(e) => {
+                            failure = Some(e);
+                            false
+                        }
+                    }
+                }
+            }
+        });
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(count),
+        }
+    }
+
     /// Ascending zero-copy scan over `[lo, hi)` (unbounded where `None`):
     /// the *stream* API — no per-entry objects, `f` borrows key and value
     /// bytes directly. Returns entries visited; stops early when `f`
@@ -1191,25 +1068,10 @@ impl<C: KeyComparator> OakMap<C> {
         &self,
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
-        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+        f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> usize {
-        let mut count = 0;
-        let mut cursor = AscendCursor::new_stream(self, lo, hi);
-        cursor.drain(|kb, v| match v {
-            // Leased bytes are pre-resolved and lock-covered since fill.
-            ValueView::Leased(vb) => {
-                count += 1;
-                f(kb, vb)
-            }
-            ValueView::Read(h) => match self.value_store().read(h, |vb| f(kb, vb)) {
-                Ok(keep) => {
-                    count += 1;
-                    keep
-                }
-                Err(_) => true, // deleted under the iterator: skip
-            },
-        });
-        count
+        let Ok(n) = self.stream_scan(AscendCursor::new_stream(self, lo, hi), &Unbounded, f);
+        n as usize
     }
 
     /// Budgeted ascending stream scan: like
@@ -1226,73 +1088,12 @@ impl<C: KeyComparator> OakMap<C> {
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
         budget: &crate::OpBudget,
-        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+        f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<u64, crate::OakError> {
-        use crate::overload::OverloadState;
-        /// Entries between deadline checks: cheap enough to keep overrun
-        /// small, coarse enough to keep `Instant::now` off the per-entry
-        /// path.
-        const SCAN_CHECK_INTERVAL: u64 = 64;
-        budget.check(self.pool())?;
-        let shed_after = match self.overload.state() {
-            OverloadState::Healthy => u64::MAX,
-            OverloadState::Degraded | OverloadState::Critical => {
-                let limit = self.overload.config().degraded_scan_limit;
-                if limit == 0 {
-                    u64::MAX
-                } else {
-                    limit
-                }
-            }
-        };
-        let mut count: u64 = 0;
-        let mut failure: Option<crate::OakError> = None;
-        let mut cursor = AscendCursor::new_stream(self, lo, hi);
-        cursor.drain(|kb, v| {
-            if count >= shed_after {
-                self.pool().note_scan_shed();
-                failure = Some(crate::OakError::Overloaded);
-                return false;
-            }
-            if count > 0 && count.is_multiple_of(SCAN_CHECK_INTERVAL) && budget.expired() {
-                self.pool().note_deadline_exceeded();
-                failure = Some(crate::OakError::DeadlineExceeded);
-                return false;
-            }
-            match v {
-                // Leased bytes involve no waiting, so the deadline cannot
-                // clamp anything — deliver directly.
-                ValueView::Leased(vb) => {
-                    count += 1;
-                    f(kb, vb)
-                }
-                ValueView::Read(h) => {
-                    match self
-                        .value_store()
-                        .read_at(h, budget.deadline, |vb| f(kb, vb))
-                    {
-                        Ok(keep) => {
-                            count += 1;
-                            keep
-                        }
-                        Err(oak_mempool::AccessError::Deleted) => true, // skip
-                        Err(oak_mempool::AccessError::Contended(info)) => {
-                            if budget.expired() {
-                                self.pool().note_deadline_exceeded();
-                                failure = Some(crate::OakError::DeadlineExceeded);
-                            } else {
-                                failure = Some(crate::OakError::Contended(info));
-                            }
-                            false
-                        }
-                    }
-                }
-            }
-        });
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(count),
-        }
+        let rules = Budgeted::start(budget, self.pool(), &self.overload, || {
+            self.overload.state()
+        })?;
+        self.stream_scan(AscendCursor::new_stream(self, lo, hi), &rules, f)
     }
 
     /// Descending stream scan (no per-entry objects). Returns entries
@@ -1301,24 +1102,9 @@ impl<C: KeyComparator> OakMap<C> {
         &self,
         from: Option<&[u8]>,
         lo: Option<&[u8]>,
-        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+        f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> usize {
-        let mut count = 0;
-        let mut it = DescendIter::new_stream(self, from, lo);
-        it.drain(|kb, v| match v {
-            // Leased bytes are pre-resolved and lock-covered since fill.
-            ValueView::Leased(vb) => {
-                count += 1;
-                f(kb, vb)
-            }
-            ValueView::Read(h) => match self.value_store().read(h, |vb| f(kb, vb)) {
-                Ok(keep) => {
-                    count += 1;
-                    keep
-                }
-                Err(_) => true, // deleted under the iterator: skip
-            },
-        });
-        count
+        let Ok(n) = self.stream_scan(DescendIter::new_stream(self, from, lo), &Unbounded, f);
+        n as usize
     }
 }

@@ -70,33 +70,15 @@ where
     pub fn put(&self, key: &KS::Item, value: &VS::Item) -> Result<Option<VS::Item>, OakError> {
         let kb = self.key_bytes(key);
         let vb = self.val_bytes(value);
-        loop {
-            // Try to replace an existing value, capturing the old bytes.
-            let existing = {
-                let c = self.map.locate_chunk(&kb);
-                c.lookup(self.map.pool(), &self.map.cmp, &kb)
-                    .and_then(|ei| c.value_ref(ei))
-            };
-            if let Some(h) = existing {
-                match self.map.value_store().replace(h, &vb)? {
-                    Some(old) => return Ok(Some(self.val_serde.deserialize(&old))),
-                    None => {
-                        // Deleted under us; fall through to insertion.
-                    }
-                }
-            }
-            if self.map.put_if_absent(&kb, &vb)? {
-                return Ok(None);
-            }
-            // Raced with a concurrent insert; retry as replace.
-        }
+        let old = self.map.put_returning(&kb, &vb)?;
+        Ok(old.map(|old| self.val_serde.deserialize(&old)))
     }
 
     /// `V remove(K)` — returns the removed value (atomically).
     pub fn remove(&self, key: &KS::Item) -> Option<VS::Item> {
         let kb = self.key_bytes(key);
         self.map
-            .remove_with_copy(&kb)
+            .remove_returning(&kb)
             .map(|old| self.val_serde.deserialize(&old))
     }
 

@@ -73,7 +73,7 @@ pub use map::MapAuditReport;
 pub use map::{OakMap, OakStats};
 pub use overload::{OverloadConfig, OverloadState};
 pub use sharded::{ShardSplitter, ShardedOakMap};
-pub use traits::{OakStatsSource, OnHeapSkipListMap, OrderedKvMap, ZeroCopyRead};
+pub use traits::{OakStatsSource, OnHeapSkipListMap, OrderedKvMap};
 pub use zc::{SubMapView, ZeroCopyView};
 
 /// Canonical failpoint sites declared by this crate (see the `failpoints`

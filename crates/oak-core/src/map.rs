@@ -114,11 +114,7 @@ impl<C: KeyComparator> OakMap<C> {
             Some(shared) => MemoryPool::with_shared(config.pool.max_arenas, shared.clone()),
             None => MemoryPool::new(config.pool.clone()),
         });
-        let first = Arc::new(Chunk::new_empty(
-            config.chunk_capacity,
-            Box::new([]),
-            config.prefix_cache,
-        ));
+        let first = Arc::new(Chunk::new_empty(config.chunk_capacity, Box::new([])));
         let reclaim = Arc::new(Quarantine::new(pool.clone()));
         // Hard byte ceiling this map's pool can ever reach — the overload
         // controller's headroom denominator.
@@ -171,10 +167,6 @@ impl<C: KeyComparator> OakMap<C> {
     /// this accessor.
     pub fn config(&self) -> &OakMapConfig {
         &self.config
-    }
-
-    pub(crate) fn value_store(&self) -> &ValueStore {
-        &self.store
     }
 
     /// Map statistics, including the RAM footprint (§1.1's "fast estimation

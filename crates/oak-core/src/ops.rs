@@ -1,22 +1,24 @@
-//! Query and update operations (Algorithms 1–3): the retry loops, help
-//! paths, and linearization points of `get`, `doPut`, and `doIfPresent`.
+//! Query and update operations: the paper's three bodies — `get`
+//! (Algorithm 1), `doPut` (Algorithm 2) and `doIfPresent` (Algorithm 3) —
+//! with their retry loops, help paths and linearization points.
 //!
 //! [`map`](crate::map) holds the public shell and construction;
-//! [`index`](crate::index) resolves keys to chunks; this module owns the
-//! per-operation logic moved verbatim from the original monolithic map.
+//! [`index`](crate::index) resolves keys to chunks. Every public point
+//! operation here, budgeted, copying or plain, is a one-line call into one
+//! of the three bodies and differs only in the `PutOp` / `PresentOp` /
+//! [`OpBudget`] it passes.
 //!
-//! Every retry loop here is *budgeted*: operations run under an
-//! [`OpBudget`] whose deadline is consulted at the top of each attempt —
-//! before the attempt allocates or publishes anything — and whose
-//! [`RetryPolicy`](crate::RetryPolicy) paces retries of transient failures
-//! (header-lock contention, injected faults). The unbudgeted public API
-//! derives its budget from [`OakMapConfig`](crate::OakMapConfig), which
-//! defaults to the historical "run forever, retry immediately" discipline.
+//! Every retry loop is *budgeted*: the [`OpBudget`]'s deadline is consulted
+//! at the top of each attempt — before the attempt allocates or publishes
+//! anything — and its [`RetryPolicy`](crate::RetryPolicy) paces retries of
+//! transient failures (header-lock contention, injected faults). The
+//! unbudgeted entry points pass [`OpBudget::unbounded`]: no deadline,
+//! retry immediately and forever.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use oak_mempool::{AllocError, ContendedInfo, SliceRef};
+use oak_mempool::{AccessError, AllocError, ContendedInfo, SliceRef};
 
 use crate::budget::{OpBudget, RetryState};
 use crate::buffer::{OakRBuffer, OakWBuffer};
@@ -34,6 +36,10 @@ const OOM_RECOVER_BUDGET: u32 = 2;
 /// Which insertion operation `do_put` is executing (Algorithm 2).
 enum PutOp<'f> {
     Put,
+    /// `put` that also hands back a copy of the value it replaced (the
+    /// legacy `ConcurrentNavigableMap.put` shape): read and overwritten
+    /// under one hold of the header write lock.
+    Replace(&'f mut Option<Vec<u8>>),
     PutIfAbsent,
     /// `putIfAbsentComputeIfPresent` with its compute lambda.
     Compute(&'f dyn Fn(&mut OakWBuffer<'_>)),
@@ -43,19 +49,50 @@ enum PutOp<'f> {
 enum PresentOp<'f> {
     Compute(&'f dyn Fn(&mut OakWBuffer<'_>)),
     Remove,
+    /// `remove` that also hands back a copy of the removed value (the
+    /// legacy `ConcurrentNavigableMap.remove` shape), copied under the same
+    /// hold of the header write lock that sets the deleted bit.
+    RemoveReturning(&'f mut Option<Vec<u8>>),
 }
 
 impl<C: KeyComparator> OakMap<C> {
     // --- queries (Algorithm 1) -------------------------------------------
 
-    /// Zero-copy get through a closure: applies `f` to the value bytes
-    /// under the header read lock. Returns `None` if absent.
-    pub fn get_with<R>(&self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+    /// Algorithm 1's `get`: applies `f` to the value bytes under the header
+    /// read lock, waiting for that lock until `deadline` at most. `Ok(None)`
+    /// when the key is absent, `Err` when the bounded lock wait was lost.
+    /// Inlined into its two entry points, which differ only in how they
+    /// report that loss, so the unbudgeted one keeps no trace of a deadline.
+    #[inline(always)]
+    fn get_at<R>(
+        &self,
+        key: &[u8],
+        deadline: Option<Instant>,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, ContendedInfo> {
         let _pin = self.reclaim.pin();
         let c = self.index.locate(key);
-        let ei = c.lookup(self.pool(), &self.cmp, key)?;
-        let h = c.value_ref(ei)?;
-        self.store.read(h, f).ok()
+        let Some(ei) = c.lookup(self.pool(), &self.cmp, key) else {
+            return Ok(None);
+        };
+        let Some(h) = c.value_ref(ei) else {
+            return Ok(None);
+        };
+        match self.store.read_at(h, deadline, f) {
+            Ok(r) => Ok(Some(r)),
+            Err(AccessError::Deleted) => Ok(None),
+            Err(AccessError::Contended(info)) => Err(info),
+        }
+    }
+
+    /// Zero-copy get through a closure: applies `f` to the value bytes
+    /// under the header read lock. Returns `None` if absent (or if the
+    /// bounded wait for that lock was lost).
+    // `#[inline]`: with `get_at` folded in, LLVM otherwise stops inlining
+    // this into its callers, as it did when the body was four lines.
+    #[inline]
+    pub fn get_with<R>(&self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.get_at(key, None, f).unwrap_or(None)
     }
 
     /// Budgeted zero-copy get: like [`get_with`](OakMap::get_with) but the
@@ -70,26 +107,8 @@ impl<C: KeyComparator> OakMap<C> {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<Option<R>, OakError> {
         budget.check(self.pool())?;
-        let _pin = self.reclaim.pin();
-        let c = self.index.locate(key);
-        let Some(ei) = c.lookup(self.pool(), &self.cmp, key) else {
-            return Ok(None);
-        };
-        let Some(h) = c.value_ref(ei) else {
-            return Ok(None);
-        };
-        match self.store.read_at(h, budget.deadline, f) {
-            Ok(r) => Ok(Some(r)),
-            Err(oak_mempool::AccessError::Deleted) => Ok(None),
-            Err(oak_mempool::AccessError::Contended(info)) => {
-                if budget.expired() {
-                    self.pool().note_deadline_exceeded();
-                    Err(OakError::DeadlineExceeded)
-                } else {
-                    Err(OakError::Contended(info))
-                }
-            }
-        }
+        self.get_at(key, budget.deadline, f)
+            .map_err(|info| budget.lock_lost(info, self.pool()))
     }
 
     /// Zero-copy get returning an [`OakRBuffer`] view (the ZC API's
@@ -135,6 +154,18 @@ impl<C: KeyComparator> OakMap<C> {
         self.do_put(key, value, PutOp::Put, budget).map(|_| ())
     }
 
+    /// [`put`](OakMap::put) that returns a copy of the value it replaced
+    /// (`None`: this call inserted) — the legacy API's `V put(K, V)`.
+    pub(crate) fn put_returning(
+        &self,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<Option<Vec<u8>>, OakError> {
+        let mut old = None;
+        self.do_put(key, value, PutOp::Replace(&mut old), &OpBudget::unbounded())?;
+        Ok(old)
+    }
+
     /// Associates `key` with `value` if absent; returns whether this call
     /// inserted.
     pub fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool, OakError> {
@@ -175,7 +206,7 @@ impl<C: KeyComparator> OakMap<C> {
         &self,
         key: &[u8],
         value: &[u8],
-        op: PutOp<'_>,
+        mut op: PutOp<'_>,
         budget: &OpBudget,
     ) -> Result<bool, OakError> {
         if key.is_empty() {
@@ -211,46 +242,37 @@ impl<C: KeyComparator> OakMap<C> {
             if let Some(ei) = ei {
                 if let Some(h) = c.value_ref(ei) {
                     if !self.store.is_deleted(h) {
-                        // Case 1: key present.
-                        match &op {
+                        // Case 1: key present. `Ok(false)` below means
+                        // the value was deleted under us.
+                        let wrote: Result<bool, OakError> = match &mut op {
                             PutOp::PutIfAbsent => return Ok(false),
-                            PutOp::Put => {
-                                match self.store.put_at(h, value, budget.deadline) {
-                                    Ok(true) => {
-                                        // l.p.: the nested v.put (§4.5).
-                                        return Ok(false);
-                                    }
-                                    Ok(false) => continue, // deleted under us
-                                    Err(e) => {
-                                        self.recover_or_err(
-                                            e.into(),
-                                            &mut oom_budget,
-                                            &mut retry,
-                                            budget,
-                                            pin,
-                                        )?;
-                                        continue;
-                                    }
-                                }
-                            }
-                            PutOp::Compute(f) => {
-                                match self.compute_guarded(h, *f, budget.deadline) {
-                                    Ok(true) => {
-                                        // l.p.: the nested v.compute (§4.5).
-                                        return Ok(false);
-                                    }
-                                    Ok(false) => continue, // deleted under us
-                                    Err(info) => {
-                                        self.recover_or_err(
-                                            info.into(),
-                                            &mut oom_budget,
-                                            &mut retry,
-                                            budget,
-                                            pin,
-                                        )?;
-                                        continue;
-                                    }
-                                }
+                            PutOp::Put => self
+                                .store
+                                .put_at(h, value, budget.deadline)
+                                .map_err(Into::into),
+                            // `replace` waits out the store's own lock
+                            // budget and reports a lost wait like a
+                            // deletion; either way the next attempt
+                            // re-examines the entry.
+                            PutOp::Replace(old) => self
+                                .store
+                                .replace(h, value)
+                                .map(|prev| {
+                                    **old = prev;
+                                    old.is_some()
+                                })
+                                .map_err(Into::into),
+                            PutOp::Compute(f) => self
+                                .compute_guarded(h, *f, budget.deadline)
+                                .map_err(Into::into),
+                        };
+                        match wrote {
+                            // l.p.: the nested v.put / v.compute (§4.5).
+                            Ok(true) => return Ok(false),
+                            Ok(false) => continue,
+                            Err(e) => {
+                                self.recover_or_err(e, &mut oom_budget, &mut retry, budget, pin)?;
+                                continue;
                             }
                         }
                     }
@@ -523,11 +545,25 @@ impl<C: KeyComparator> OakMap<C> {
         self.do_if_present(key, PresentOp::Remove, budget)
     }
 
+    /// [`remove`](OakMap::remove) that returns a copy of the removed value
+    /// — the legacy API's `V remove(K)`.
+    pub(crate) fn remove_returning(&self, key: &[u8]) -> Option<Vec<u8>> {
+        let mut old = None;
+        // An unbounded budget leaves only injected faults to fail with;
+        // like `remove`, report them as "nothing removed".
+        let _ = self.do_if_present(
+            key,
+            PresentOp::RemoveReturning(&mut old),
+            &OpBudget::unbounded(),
+        );
+        old
+    }
+
     /// Algorithm 3's `doIfPresent`.
     fn do_if_present(
         &self,
         key: &[u8],
-        op: PresentOp<'_>,
+        mut op: PresentOp<'_>,
         budget: &OpBudget,
     ) -> Result<bool, OakError> {
         let mut oom_budget = OOM_RECOVER_BUDGET;
@@ -550,48 +586,36 @@ impl<C: KeyComparator> OakMap<C> {
                 // funnel — unlike a deleted value, it must never fall
                 // through to the CAS-to-⊥ cleanup below, which would erase
                 // a live entry.
-                match &op {
-                    PresentOp::Compute(f) => {
-                        match self.compute_guarded(h, *f, budget.deadline) {
-                            Ok(true) => {
-                                // l.p.: successful nested v.compute (line 46).
-                                return Ok(true);
-                            }
-                            Ok(false) => {} // deleted under us: clean below
-                            Err(info) => {
-                                self.recover_or_err(
-                                    info.into(),
-                                    &mut oom_budget,
-                                    &mut retry,
-                                    budget,
-                                    pin,
-                                )?;
-                                continue;
-                            }
-                        }
-                    }
-                    PresentOp::Remove => match self.store.remove_at(h, budget.deadline) {
-                        Ok(true) => {
-                            // l.p.: v.remove set the deleted bit (line 48).
+                let removing = !matches!(op, PresentOp::Compute(_));
+                let hit = match &mut op {
+                    PresentOp::Compute(f) => self.compute_guarded(h, *f, budget.deadline),
+                    PresentOp::Remove => self.store.remove_at(h, budget.deadline),
+                    PresentOp::RemoveReturning(old) => self
+                        .store
+                        .remove_returning_at(h, budget.deadline)
+                        .map(|prev| {
+                            **old = prev;
+                            old.is_some()
+                        }),
+                };
+                match hit {
+                    Ok(true) => {
+                        // l.p.: the successful nested v.compute (line 46),
+                        // or v.remove setting the deleted bit (line 48).
+                        if removing {
                             self.len.fetch_sub(1, Ordering::Relaxed);
                             oak_failpoints::sync_point!("ops/remove-marked");
                             oak_failpoints::fail_point!("ops/remove-marked");
                             self.finalize_remove(key, h, budget.deadline);
                             self.maybe_merge(&c);
-                            return Ok(true);
                         }
-                        Ok(false) => {} // already deleted: clean below
-                        Err(info) => {
-                            self.recover_or_err(
-                                info.into(),
-                                &mut oom_budget,
-                                &mut retry,
-                                budget,
-                                pin,
-                            )?;
-                            continue;
-                        }
-                    },
+                        return Ok(true);
+                    }
+                    Ok(false) => {} // deleted under us: clean below
+                    Err(info) => {
+                        self.recover_or_err(info.into(), &mut oom_budget, &mut retry, budget, pin)?;
+                        continue;
+                    }
                 }
             }
             // Case 2: value deleted — ensure the entry is removed by
@@ -606,56 +630,6 @@ impl<C: KeyComparator> OakMap<C> {
                 return Ok(false); // l.p.: successful CAS to ⊥ (line 52)
             }
             // CAS failed: the entry changed under us; retry (line 54).
-        }
-    }
-
-    /// Removal that atomically returns a copy of the removed value — the
-    /// legacy `ConcurrentNavigableMap.remove` shape. Same structure as
-    /// `do_if_present(Remove)` with a copying `v.remove`.
-    pub(crate) fn remove_with_copy(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let budget = OpBudget::unbounded();
-        let mut oom_budget = OOM_RECOVER_BUDGET;
-        let mut retry = RetryState::new(key.as_ptr() as u64);
-        loop {
-            if budget.check(self.pool()).is_err() {
-                return None;
-            }
-            let pin = self.reclaim.pin();
-            let c = self.index.locate(key);
-            let ei = c.lookup(self.pool(), &self.cmp, key)?;
-            let h = c.value_ref(ei)?;
-            if !self.store.is_deleted(h) {
-                match self.store.remove_returning_at(h, budget.deadline) {
-                    Ok(Some(old)) => {
-                        self.len.fetch_sub(1, Ordering::Relaxed);
-                        oak_failpoints::sync_point!("ops/remove-marked");
-                        oak_failpoints::fail_point!("ops/remove-marked");
-                        self.finalize_remove(key, h, budget.deadline);
-                        self.maybe_merge(&c);
-                        return Some(old);
-                    }
-                    Ok(None) => {} // deleted under us: clean below
-                    Err(info) => {
-                        if self
-                            .recover_or_err(info.into(), &mut oom_budget, &mut retry, &budget, pin)
-                            .is_err()
-                        {
-                            return None;
-                        }
-                        continue;
-                    }
-                }
-            }
-            // Value deleted: ensure the entry is cleaned, as in case 2.
-            if !c.publish() {
-                self.rebalance_until(&c, budget.deadline);
-                continue;
-            }
-            let ok = c.cas_value(ei, h.to_raw(), 0);
-            c.unpublish();
-            if ok {
-                return None;
-            }
         }
     }
 

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | `Healthy` | ample headroom | no intervention |
 //! | `Degraded` | headroom below `degraded_headroom`, or free space badly fragmented, or the quarantine backlog large | writes prioritize rebalance draining (an opportunistic quarantine drain runs on the write path); budgeted scans past `degraded_scan_limit` entries are shed with [`OakError::Overloaded`](crate::OakError) |
-//! | `Critical` | headroom below `critical_headroom` | budgeted writes are rejected early with `Overloaded` — cheaper than letting them run the emergency-reclamation OOM ladder and fail anyway |
+//! | `Critical` | headroom below `critical_headroom` | writes (every `put`-family operation, budgeted or not) are rejected early with `Overloaded` — cheaper than letting them run the emergency-reclamation OOM ladder and fail anyway |
 //!
 //! "Headroom" is `1 − live_bytes / capacity` where capacity is the hard
 //! byte budget the pool can ever reach (`max_arenas × arena_size`, or the
@@ -52,7 +52,7 @@ impl OverloadState {
 pub struct OverloadConfig {
     /// Master switch. Default `false` (historical behavior preserved).
     pub enabled: bool,
-    /// Reassess every this many budgeted write operations.
+    /// Reassess every this many write (`put`-family) operations.
     pub sample_every: u64,
     /// Enter `Degraded` when headroom falls below this fraction.
     pub degraded_headroom: f64,
@@ -94,7 +94,7 @@ impl OverloadConfig {
         }
     }
 
-    /// Reassess every `n` budgeted writes (clamped to ≥ 1).
+    /// Reassess every `n` writes (clamped to ≥ 1).
     #[must_use]
     pub fn sample_every(mut self, n: u64) -> Self {
         self.sample_every = n.max(1);
@@ -142,8 +142,15 @@ impl OverloadController {
         self.cfg.enabled && self.capacity > 0
     }
 
-    pub(crate) fn config(&self) -> &OverloadConfig {
-        &self.cfg
+    /// Entries a budgeted scan may deliver before it is shed, under the
+    /// verdict `state` reports (`u64::MAX`: never). `state` is asked only
+    /// when the answer depends on it — a sharded map's verdict is a walk
+    /// over its shards.
+    pub(crate) fn scan_shed_limit(&self, state: impl FnOnce() -> OverloadState) -> u64 {
+        match self.cfg.degraded_scan_limit {
+            limit if limit > 0 && self.enabled() && state() != OverloadState::Healthy => limit,
+            _ => u64::MAX, // disabled, healthy, or 0 = never shed scans
+        }
     }
 
     /// Current state without resampling.

@@ -122,11 +122,7 @@ impl<C: KeyComparator> OakMap<C> {
         let per_chunk = (cap / 2).max(1) as usize;
         let mut new_chunks: Vec<Arc<Chunk>> = Vec::new();
         if items.is_empty() {
-            new_chunks.push(Arc::new(Chunk::new_empty(
-                cap,
-                chunk.min_key.clone(),
-                self.config.prefix_cache,
-            )));
+            new_chunks.push(Arc::new(Chunk::new_empty(cap, chunk.min_key.clone())));
         } else {
             for (i, group) in items.chunks(per_chunk).enumerate() {
                 let min_key: Box<[u8]> = if i == 0 {
@@ -143,7 +139,6 @@ impl<C: KeyComparator> OakMap<C> {
                     group,
                     self.pool(),
                     &self.cmp,
-                    self.config.prefix_cache,
                 )));
             }
         }

@@ -19,13 +19,16 @@
 
 use std::sync::Arc;
 
-use oak_mempool::{ArenaPool, HeaderRef, SliceRef};
+use std::cmp::Ordering::{Greater, Less};
 
-use crate::budget::OpBudget;
+use oak_mempool::{AccessError, ArenaPool, HeaderRef, SliceRef};
+
+use crate::budget::{Budgeted, OpBudget, ScanRules, Unbounded};
 use crate::buffer::{OakRBuffer, OakWBuffer};
 use crate::cmp::{KeyComparator, Lexicographic};
 use crate::config::OakMapConfig;
 use crate::error::OakError;
+use crate::iter::{AscendCursor, ScanCursor};
 use crate::map::{OakMap, OakStats};
 use crate::overload::OverloadState;
 
@@ -398,46 +401,66 @@ impl<C: KeyComparator> ShardedOakMap<C> {
 
     // --- merged scans -----------------------------------------------------
 
-    /// Ascending zero-copy scan over `[lo, hi)` across all shards, in
-    /// global comparator order (k-way merge of the per-shard chunk
-    /// iterators). Returns entries visited; stops early when `f` returns
-    /// `false`.
-    pub fn for_each_in(
+    /// The one k-way merge body: pulls from one cursor per shard (either
+    /// direction) and delivers the head that wins under `want` — `Less` is
+    /// the argmin of an ascending merge, `Greater` the argmax of a
+    /// descending one — until the cursors drain, `f` returns `false`, or
+    /// `rules` end the scan. Returns entries delivered.
+    fn merge_scan<R: ScanRules>(
         &self,
-        lo: Option<&[u8]>,
-        hi: Option<&[u8]>,
+        mut iters: Vec<impl ScanCursor>,
+        want: std::cmp::Ordering,
+        rules: &R,
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
-    ) -> usize {
-        let mut iters: Vec<_> = self.shards.iter().map(|s| s.0.iter_range(lo, hi)).collect();
+    ) -> Result<u64, R::Error> {
         // Zero-copy merge heads, allocated once per scan and refilled in
         // place. Each head caches the *dereferenced* key bytes of the
         // entry its shard cursor yielded (valid under that cursor's epoch
-        // pin, held by `iters` for the whole merge), so the argmin pass
-        // compares cached slices instead of resolving off-heap references
-        // twice per comparison — no per-entry key buffer is materialized.
+        // pin, held by `iters` for the whole merge), so the pick compares
+        // cached slices instead of resolving off-heap references twice per
+        // comparison — no per-entry key buffer is materialized.
         let mut heads: Vec<Option<(&[u8], HeaderRef)>> = iters
             .iter_mut()
             .enumerate()
             .map(|(i, it)| self.fill_head(i, it.next_raw()))
             .collect();
-        let mut count = 0;
+        let mut count: u64 = 0;
         loop {
-            // Argmin over shard heads: keys are unique across shards
-            // (routing is deterministic), so no tie-breaking is needed.
-            let Some(best) = Self::pick(&self.cmp, &heads, std::cmp::Ordering::Less) else {
-                return count;
+            // Keys are unique across shards (routing is deterministic), so
+            // no tie-breaking is needed.
+            let Some(best) = Self::pick(&self.cmp, &heads, want) else {
+                return Ok(count);
             };
+            let shard = &self.shards[best].0;
+            rules.admit(count, shard.pool())?;
             let (kb, h) = heads[best].take().expect("picked head is live");
-            // An Err means the entry was deleted under the scan: skip it
-            // without counting.
-            if let Ok(keep) = self.shards[best].0.value_store().read(h, |v| f(kb, v)) {
-                count += 1;
-                if !keep {
-                    return count;
+            match shard.store.read_at(h, rules.deadline(), |v| f(kb, v)) {
+                Ok(keep) => {
+                    count += 1;
+                    if !keep {
+                        return Ok(count);
+                    }
                 }
+                // Deleted under the scan: skip without counting.
+                Err(AccessError::Deleted) => {}
+                Err(AccessError::Contended(info)) => rules.lock_lost(info, shard.pool())?,
             }
             heads[best] = self.fill_head(best, iters[best].next_raw());
         }
+    }
+
+    /// Ascending zero-copy scan over `[lo, hi)` across all shards, in
+    /// global comparator order (k-way merge of the per-shard chunk
+    /// cursors). Returns entries visited; stops early when `f` returns
+    /// `false`.
+    pub fn for_each_in(
+        &self,
+        lo: Option<&[u8]>,
+        hi: Option<&[u8]>,
+        f: impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> usize {
+        let Ok(n) = self.merge_scan(self.ascending(lo, hi), Less, &Unbounded, f);
+        n as usize
     }
 
     /// Budgeted ascending merged scan: like
@@ -452,71 +475,23 @@ impl<C: KeyComparator> ShardedOakMap<C> {
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
         budget: &OpBudget,
-        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+        f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<u64, OakError> {
-        const SCAN_CHECK_INTERVAL: u64 = 64;
-        budget.check(self.shards[0].0.pool())?;
-        // The shed limit needs the worst overload verdict across shards —
-        // an all-shard sampling walk. With the controller disabled (the
-        // default) the verdict is always `Healthy`; skip the walk entirely
-        // rather than paying N shard probes of fixed setup per scan.
-        let shed_after = if !self.shards[0].0.overload.enabled() {
-            u64::MAX
-        } else {
-            match self.overload_state() {
-                OverloadState::Healthy => u64::MAX,
-                OverloadState::Degraded | OverloadState::Critical => {
-                    let limit = self.shards[0].0.overload.config().degraded_scan_limit;
-                    if limit == 0 {
-                        u64::MAX
-                    } else {
-                        limit
-                    }
-                }
-            }
-        };
-        let mut iters: Vec<_> = self.shards.iter().map(|s| s.0.iter_range(lo, hi)).collect();
-        let mut heads: Vec<Option<(&[u8], HeaderRef)>> = iters
-            .iter_mut()
-            .enumerate()
-            .map(|(i, it)| self.fill_head(i, it.next_raw()))
-            .collect();
-        let mut count: u64 = 0;
-        loop {
-            let Some(best) = Self::pick(&self.cmp, &heads, std::cmp::Ordering::Less) else {
-                return Ok(count);
-            };
-            if count >= shed_after {
-                self.shards[best].0.pool().note_scan_shed();
-                return Err(OakError::Overloaded);
-            }
-            if count > 0 && count.is_multiple_of(SCAN_CHECK_INTERVAL) && budget.expired() {
-                self.shards[best].0.pool().note_deadline_exceeded();
-                return Err(OakError::DeadlineExceeded);
-            }
-            let (kb, h) = heads[best].take().expect("picked head is live");
-            match self.shards[best]
-                .0
-                .value_store()
-                .read_at(h, budget.deadline, |v| f(kb, v))
-            {
-                Ok(keep) => {
-                    count += 1;
-                    if !keep {
-                        return Ok(count);
-                    }
-                }
-                Err(oak_mempool::AccessError::Deleted) => {} // skip
-                Err(oak_mempool::AccessError::Contended(info)) => {
-                    if budget.expired() {
-                        self.shards[best].0.pool().note_deadline_exceeded();
-                        return Err(OakError::DeadlineExceeded);
-                    }
-                    return Err(OakError::Contended(info));
-                }
-            }
-            heads[best] = self.fill_head(best, iters[best].next_raw());
-        }
+        // Shards share one configuration; the verdict that sheds is the
+        // worst across them.
+        let first = &self.shards[0].0;
+        let rules = Budgeted::start(budget, first.pool(), &first.overload, || {
+            self.overload_state()
+        })?;
+        self.merge_scan(self.ascending(lo, hi), Less, &rules, f)
+    }
+
+    /// One ascending Set-API cursor per shard over `[lo, hi)`.
+    fn ascending<'a>(&'a self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Vec<AscendCursor<'a, C>> {
+        self.shards
+            .iter()
+            .map(|s| AscendCursor::new(&s.0, lo, hi))
+            .collect()
     }
 
     /// Descending zero-copy scan from `from` (inclusive; `None` = from
@@ -526,32 +501,15 @@ impl<C: KeyComparator> ShardedOakMap<C> {
         &self,
         from: Option<&[u8]>,
         lo: Option<&[u8]>,
-        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+        f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> usize {
-        let mut iters: Vec<_> = self
+        let iters = self
             .shards
             .iter()
             .map(|s| s.0.iter_descending(from, lo))
             .collect();
-        let mut heads: Vec<Option<(&[u8], HeaderRef)>> = iters
-            .iter_mut()
-            .enumerate()
-            .map(|(i, it)| self.fill_head(i, it.next_raw()))
-            .collect();
-        let mut count = 0;
-        loop {
-            let Some(best) = Self::pick(&self.cmp, &heads, std::cmp::Ordering::Greater) else {
-                return count;
-            };
-            let (kb, h) = heads[best].take().expect("picked head is live");
-            if let Ok(keep) = self.shards[best].0.value_store().read(h, |v| f(kb, v)) {
-                count += 1;
-                if !keep {
-                    return count;
-                }
-            }
-            heads[best] = self.fill_head(best, iters[best].next_raw());
-        }
+        let Ok(n) = self.merge_scan(iters, Greater, &Unbounded, f);
+        n as usize
     }
 
     /// Resolves a raw merge head to its dereferenced key bytes once, at
@@ -581,8 +539,7 @@ impl<C: KeyComparator> ShardedOakMap<C> {
     /// ascending, Greater = argmax for descending); `None` when all
     /// iterators are drained. Heads carry their key bytes pre-resolved by
     /// [`fill_head`](Self::fill_head), so one merge step costs k−1 slice
-    /// comparisons and zero off-heap reference resolutions (the old shape
-    /// re-resolved both candidates on every comparison).
+    /// comparisons and zero off-heap reference resolutions.
     fn pick(
         cmp: &C,
         heads: &[Option<(&[u8], HeaderRef)>],

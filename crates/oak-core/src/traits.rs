@@ -20,11 +20,6 @@
 //! * The trait is dyn-compatible: closures are passed as `&dyn Fn` /
 //!   `&mut dyn FnMut`, so `&dyn OrderedKvMap` works (the fault harness
 //!   drives schedules through exactly that).
-//! * [`ascend_entries`](OrderedKvMap::ascend_entries) /
-//!   [`descend_entries`](OrderedKvMap::descend_entries) expose the paper's
-//!   *Set API* (one ephemeral pair per entry, Figure 4e/4f's slower
-//!   variant) where an implementation distinguishes it; the default
-//!   forwards to the stream scans.
 
 use oak_mempool::PoolStats;
 use oak_skiplist::btree::LockedBTreeMap;
@@ -42,8 +37,7 @@ use crate::sharded::ShardedOakMap;
 /// Mirrors the paper's Table 1 API surface in map-agnostic form:
 /// conditional atomic updates (`put_if_absent`, `compute_if_present`,
 /// `put_if_absent_compute_if_present`), removal, and ascending/descending
-/// range scans. Implementations that can read without materializing values
-/// also implement [`ZeroCopyRead`].
+/// range scans.
 pub trait OrderedKvMap: Send + Sync {
     /// Number of live key-value pairs.
     fn len(&self) -> usize;
@@ -55,6 +49,11 @@ pub trait OrderedKvMap: Send + Sync {
 
     /// Copying get.
     fn get_copy(&self, key: &[u8]) -> Option<Vec<u8>>;
+
+    /// Reads without materializing the value: applies `f` to the value
+    /// bytes of `key` in place (under whatever read guard the map uses);
+    /// returns whether the key was present.
+    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool;
 
     /// Whether `key` is present.
     fn contains_key(&self, key: &[u8]) -> bool {
@@ -108,7 +107,11 @@ pub trait OrderedKvMap: Send + Sync {
 
     /// Ascending scan through the *Set API* (one ephemeral entry object
     /// per pair) where the implementation distinguishes it; defaults to
-    /// the stream scan.
+    /// the stream scan. No implementation does today: handing a closure
+    /// borrowed bytes needs no per-entry objects, so `OakMap` rides its
+    /// stream scan here too, and [`OakMap::iter_range`] /
+    /// [`OakMap::iter_descending`] remain its object-per-entry Set API for
+    /// callers that hold entries beyond the visit.
     fn ascend_entries(
         &self,
         lo: Option<&[u8]>,
@@ -135,14 +138,6 @@ pub trait OrderedKvMap: Send + Sync {
     }
 }
 
-/// Maps that can serve reads without materializing the value: `f` borrows
-/// the value bytes in place (under whatever read guard the map uses).
-pub trait ZeroCopyRead: OrderedKvMap {
-    /// Applies `f` to the value bytes of `key`; returns whether the key
-    /// was present.
-    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool;
-}
-
 /// Maps that report Oak-shaped statistics ([`OakStats`]): the druid
 /// backend's footprint estimation runs on any such map.
 pub trait OakStatsSource {
@@ -166,6 +161,10 @@ impl<C: KeyComparator> OrderedKvMap for OakMap<C> {
 
     fn get_copy(&self, key: &[u8]) -> Option<Vec<u8>> {
         OakMap::get_copy(self, key)
+    }
+
+    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool {
+        self.get_with(key, |v| f(v)).is_some()
     }
 
     fn contains_key(&self, key: &[u8]) -> bool {
@@ -215,40 +214,8 @@ impl<C: KeyComparator> OrderedKvMap for OakMap<C> {
         self.for_each_descending(from, lo, |k, v| f(k, v))
     }
 
-    // Since the chunk-batch scan rebuild, the Set adapter rides the same
-    // batch pipeline as the stream scans: handing the conformance closure
-    // borrowed bytes needs no per-entry buffer objects, so the historical
-    // Set-API penalty (one `OakRBuffer` pair — three `Arc` clone/drop
-    // pairs — per entry) is gone from this path. The object-per-entry
-    // iterators ([`OakMap::iter_range`] / [`OakMap::iter_descending`])
-    // remain the public Set API for callers that hold entries beyond the
-    // visit.
-    fn ascend_entries(
-        &self,
-        lo: Option<&[u8]>,
-        hi: Option<&[u8]>,
-        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) -> usize {
-        self.for_each_in(lo, hi, |k, v| f(k, v))
-    }
-
-    fn descend_entries(
-        &self,
-        from: Option<&[u8]>,
-        lo: Option<&[u8]>,
-        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) -> usize {
-        self.for_each_descending(from, lo, |k, v| f(k, v))
-    }
-
     fn pool_stats(&self) -> Option<PoolStats> {
         Some(self.pool().stats())
-    }
-}
-
-impl<C: KeyComparator> ZeroCopyRead for OakMap<C> {
-    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool {
-        self.get_with(key, |v| f(v)).is_some()
     }
 }
 
@@ -269,6 +236,10 @@ impl<C: KeyComparator> OrderedKvMap for ShardedOakMap<C> {
 
     fn get_copy(&self, key: &[u8]) -> Option<Vec<u8>> {
         ShardedOakMap::get_copy(self, key)
+    }
+
+    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool {
+        self.get_with(key, |v| f(v)).is_some()
     }
 
     fn contains_key(&self, key: &[u8]) -> bool {
@@ -325,12 +296,6 @@ impl<C: KeyComparator> OrderedKvMap for ShardedOakMap<C> {
     }
 }
 
-impl<C: KeyComparator> ZeroCopyRead for ShardedOakMap<C> {
-    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool {
-        self.get_with(key, |v| f(v)).is_some()
-    }
-}
-
 impl<C: KeyComparator> OakStatsSource for ShardedOakMap<C> {
     fn oak_stats(&self) -> OakStats {
         self.stats()
@@ -358,6 +323,12 @@ impl OrderedKvMap for SkipListMap<Vec<u8>, Mutex<Vec<u8>>> {
 
     fn get_copy(&self, key: &[u8]) -> Option<Vec<u8>> {
         self.get_with(&key.to_vec(), |v| v.lock().clone())
+    }
+
+    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool {
+        // "Zero-copy" here means no materialized copy: the bytes are
+        // borrowed from the boxed value under its mutex.
+        self.get_with(&key.to_vec(), |v| f(&v.lock())).is_some()
     }
 
     fn contains_key(&self, key: &[u8]) -> bool {
@@ -430,14 +401,6 @@ impl OrderedKvMap for SkipListMap<Vec<u8>, Mutex<Vec<u8>>> {
     }
 }
 
-impl ZeroCopyRead for SkipListMap<Vec<u8>, Mutex<Vec<u8>>> {
-    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool {
-        // "Zero-copy" here means no materialized copy: the bytes are
-        // borrowed from the boxed value under its mutex.
-        self.get_with(&key.to_vec(), |v| f(&v.lock())).is_some()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Skiplist-OffHeap
 // ---------------------------------------------------------------------------
@@ -449,6 +412,10 @@ impl OrderedKvMap for OffHeapSkipListMap {
 
     fn get_copy(&self, key: &[u8]) -> Option<Vec<u8>> {
         self.get(key)
+    }
+
+    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool {
+        self.get_with(key, |v| f(v)).is_some()
     }
 
     fn contains_key(&self, key: &[u8]) -> bool {
@@ -513,12 +480,6 @@ impl OrderedKvMap for OffHeapSkipListMap {
     }
 }
 
-impl ZeroCopyRead for OffHeapSkipListMap {
-    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool {
-        self.get_with(key, |v| f(v)).is_some()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // MapDB-style B+-tree
 // ---------------------------------------------------------------------------
@@ -530,6 +491,10 @@ impl OrderedKvMap for LockedBTreeMap {
 
     fn get_copy(&self, key: &[u8]) -> Option<Vec<u8>> {
         self.get(key)
+    }
+
+    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool {
+        self.get_with(key, |v| f(v)).is_some()
     }
 
     fn contains_key(&self, key: &[u8]) -> bool {
@@ -582,11 +547,5 @@ impl OrderedKvMap for LockedBTreeMap {
 
     fn pool_stats(&self) -> Option<PoolStats> {
         Some(self.pool().stats())
-    }
-}
-
-impl ZeroCopyRead for LockedBTreeMap {
-    fn read_with(&self, key: &[u8], f: &mut dyn FnMut(&[u8])) -> bool {
-        self.get_with(key, |v| f(v)).is_some()
     }
 }

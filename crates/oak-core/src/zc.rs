@@ -151,18 +151,18 @@ pub struct SubMapView<'a, C: KeyComparator> {
 }
 
 impl<'a, C: KeyComparator> SubMapView<'a, C> {
+    /// Whether `key` lies in `[lo, hi)` under the map's comparator — the
+    /// order the view's scans use.
     fn in_range(&self, key: &[u8]) -> bool {
-        if let Some(lo) = &self.lo {
-            if key < &lo[..] {
-                return false;
-            }
-        }
-        if let Some(hi) = &self.hi {
-            if key >= &hi[..] {
-                return false;
-            }
-        }
-        true
+        use std::cmp::Ordering::Less;
+        let cmp = &self.map.cmp;
+        self.lo
+            .as_ref()
+            .is_none_or(|lo| cmp.compare(key, lo) != Less)
+            && self
+                .hi
+                .as_ref()
+                .is_none_or(|hi| cmp.compare(key, hi) == Less)
     }
 
     /// Bounded `get`.

@@ -3,7 +3,7 @@
 
 use oak_core::legacy::TypedOakMap;
 use oak_core::serde_api::{StringSerializer, U64Serializer};
-use oak_core::{OakMap, OakMapConfig};
+use oak_core::{OakMap, OakMapConfig, U64BeComparator};
 
 fn filled_map(n: u32) -> OakMap {
     let m = OakMap::with_config(OakMapConfig::small());
@@ -84,6 +84,41 @@ fn sub_map_bounds_every_operation() {
     let mut rev = keys.clone();
     rev.reverse();
     assert_eq!(desc, rev);
+}
+
+/// A view's point operations bound keys with the map's comparator, like
+/// its scans: `U64BeComparator` orders keys of other lengths by length
+/// first, where plain slice order would disagree.
+#[test]
+fn sub_map_bounds_follow_the_comparator() {
+    let map = OakMap::with_comparator(OakMapConfig::small(), U64BeComparator);
+    let be = |id: u64| id.to_be_bytes();
+    for id in [3, 5, 7, 12] {
+        map.put(&be(id), b"v").unwrap();
+    }
+    let zc = map.zc();
+    let in_view = |view: &oak_core::SubMapView<'_, U64BeComparator>| -> Vec<Vec<u8>> {
+        view.entry_set().map(|(k, _)| k.to_vec().unwrap()).collect()
+    };
+
+    // [5, 10): a nine-byte key sorts after every eight-byte one, so it is
+    // outside the view (bytewise it would fall between 5 and 10).
+    let view = zc.sub_map(Some(&be(5)), Some(&be(10)));
+    let long = [0, 0, 0, 0, 0, 0, 0, 7, 0];
+    assert_eq!(view.put(&long, b"v"), Ok(false));
+    assert!(!map.contains_key(&long));
+    assert_eq!(in_view(&view), [be(5).to_vec(), be(7).to_vec()]);
+
+    // [[9], 10): a one-byte lower bound sorts before every eight-byte key,
+    // so 3, 5 and 7 are inside (bytewise they would all be below it).
+    let view = zc.sub_map(Some(&[9]), Some(&be(10)));
+    assert_eq!(in_view(&view).len(), 3);
+    assert!([3, 5, 7].iter().all(|&id| view.get(&be(id)).is_some()));
+    assert!(view.get(&be(12)).is_none());
+    assert!(view.remove(&be(3)));
+    assert_eq!(view.put(&be(4), b"v"), Ok(true));
+    assert_eq!(view.len(), 3);
+    map.validate();
 }
 
 #[test]

@@ -23,7 +23,6 @@ fn cramped() -> OakMap {
         },
         shared_arenas: None,
         reclamation: oak_mempool::ReclamationPolicy::RetainHeaders,
-        prefix_cache: true,
         ..OakMapConfig::default()
     })
 }

@@ -255,7 +255,6 @@ fn emergency_reclamation_recovers_dead_key_space() {
         },
         shared_arenas: None,
         reclamation: ReclamationPolicy::RetainHeaders,
-        prefix_cache: true,
         ..OakMapConfig::default()
     });
     let big_key = |i: u64| {

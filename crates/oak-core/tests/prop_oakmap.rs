@@ -65,7 +65,6 @@ fn tiny_config() -> OakMapConfig {
         },
         shared_arenas: None,
         reclamation: oak_mempool::ReclamationPolicy::RetainHeaders,
-        prefix_cache: true,
         ..OakMapConfig::default()
     }
 }

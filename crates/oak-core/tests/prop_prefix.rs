@@ -2,13 +2,14 @@
 //! key-prefix cache must be observationally identical to plain comparator
 //! search.
 //!
-//! Three maps run the same operation script — prefix cache on, prefix
-//! cache off (every entry stores the `0` "no information" prefix, so every
-//! comparison is a full off-heap compare), and a comparator that opts out
-//! of prefixes entirely (`prefix() = None`) — and all three must agree
-//! with a `BTreeMap` model on point lookups, bounded ascending scans, and
-//! bounded descending scans. Chunks are tiny so rebalances constantly
-//! carry cached prefixes into successor chunks.
+//! Two maps run the same operation script — one under the accelerated
+//! `Lexicographic` comparator, and the full-compare reference: the same
+//! order under a comparator that opts out of prefixes (`prefix() = None`,
+//! so every entry stores the `0` "no information" prefix and every
+//! comparison is a full off-heap compare) — and both must agree with a
+//! `BTreeMap` model on point lookups, bounded ascending scans, and bounded
+//! descending scans. Chunks are tiny so rebalances constantly carry cached
+//! prefixes into successor chunks.
 //!
 //! Key corpora target the scheme's edges: random variable-length keys,
 //! a shared-prefix-heavy corpus (many keys agree on the first bytes, so
@@ -110,7 +111,7 @@ fn key(corpus: Corpus, id: u16) -> Vec<u8> {
     }
 }
 
-fn tiny(prefix_cache: bool) -> OakMapConfig {
+fn tiny() -> OakMapConfig {
     OakMapConfig {
         chunk_capacity: 16, // rebalance storms exercise prefix carry
         rebalance_unsorted_ratio: 0.5,
@@ -124,90 +125,73 @@ fn tiny(prefix_cache: bool) -> OakMapConfig {
         },
         shared_arenas: None,
         reclamation: oak_mempool::ReclamationPolicy::RetainHeaders,
-        prefix_cache,
         ..OakMapConfig::default()
     }
 }
 
-/// Applies `ops` to all three maps plus the model, then checks point
-/// lookups over the whole universe and one bounded scan per direction.
-fn run_script(corpus: Corpus, ops: &[(bool, u16)], bounds: (u16, u16)) {
-    let on = OakMap::with_config(tiny(true));
-    let off = OakMap::with_config(tiny(false));
-    let noprefix = OakMap::with_comparator(tiny(true), PrefixlessLex);
-    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-
-    for &(put, id) in ops {
-        let k = key(corpus, id);
-        if put {
-            let v = id.to_le_bytes().to_vec();
-            on.put(&k, &v).unwrap();
-            off.put(&k, &v).unwrap();
-            noprefix.put(&k, &v).unwrap();
-            model.insert(k, v);
-        } else {
-            let want = model.remove(&k).is_some();
-            assert_eq!(on.remove(&k), want);
-            assert_eq!(off.remove(&k), want);
-            assert_eq!(noprefix.remove(&k), want);
-        }
-    }
-
-    // Point lookups: every key in the universe, present or absent.
+/// Checks one map against the model: point lookups over the whole key
+/// universe and one bounded scan per direction (`lower_bound` positioning
+/// and the cursor bound checks both go through the prefix-aware compare).
+fn check_against_model<C: KeyComparator>(
+    name: &str,
+    map: &OakMap<C>,
+    model: &BTreeMap<Vec<u8>, Vec<u8>>,
+    corpus: Corpus,
+    (lo, hi): (&Vec<u8>, &Vec<u8>),
+) {
     for id in 0..96 {
         let k = key(corpus, id);
-        let want = model.get(&k).cloned();
-        assert_eq!(on.get_copy(&k), want.clone(), "cache-on lookup");
-        assert_eq!(off.get_copy(&k), want.clone(), "cache-off lookup");
-        assert_eq!(noprefix.get_copy(&k), want, "prefixless lookup");
+        assert_eq!(map.get_copy(&k), model.get(&k).cloned(), "{name} lookup");
     }
-
-    // One bounded scan per direction (lower_bound positioning + cursor
-    // bound checks both go through the prefix-aware compare).
-    let (a, b) = (key(corpus, bounds.0), key(corpus, bounds.1));
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
     let want_up: Vec<(Vec<u8>, Vec<u8>)> = model
         .range(lo.clone()..hi.clone())
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect();
-    for (name, map) in [("cache-on", &on), ("cache-off", &off)] {
-        let mut got = Vec::new();
-        map.for_each_in(Some(&lo), Some(&hi), |k, v| {
-            got.push((k.to_vec(), v.to_vec()));
-            true
-        });
-        assert_eq!(&got, &want_up, "{} ascending scan", name);
-    }
     let mut got = Vec::new();
-    noprefix.for_each_in(Some(&lo), Some(&hi), |k, v| {
+    map.for_each_in(Some(lo), Some(hi), |k, v| {
         got.push((k.to_vec(), v.to_vec()));
         true
     });
-    assert_eq!(&got, &want_up, "prefixless ascending scan");
+    assert_eq!(got, want_up, "{name} ascending scan");
 
     let mut want_down: Vec<Vec<u8>> = model
         .range(lo.clone()..=hi.clone())
         .map(|(k, _)| k.clone())
         .collect();
     want_down.reverse();
-    for (name, map) in [("cache-on", &on), ("cache-off", &off)] {
-        let mut got = Vec::new();
-        map.for_each_descending(Some(&hi), Some(&lo), |k, _| {
-            got.push(k.to_vec());
-            true
-        });
-        assert_eq!(&got, &want_down, "{} descending scan", name);
-    }
     let mut got = Vec::new();
-    noprefix.for_each_descending(Some(&hi), Some(&lo), |k, _| {
+    map.for_each_descending(Some(hi), Some(lo), |k, _| {
         got.push(k.to_vec());
         true
     });
-    assert_eq!(&got, &want_down, "prefixless descending scan");
+    assert_eq!(got, want_down, "{name} descending scan");
+    map.validate();
+}
 
-    on.validate();
-    off.validate();
-    noprefix.validate();
+/// Applies `ops` to both maps plus the model, then checks each map.
+fn run_script(corpus: Corpus, ops: &[(bool, u16)], bounds: (u16, u16)) {
+    let cached = OakMap::with_config(tiny());
+    let noprefix = OakMap::with_comparator(tiny(), PrefixlessLex);
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+
+    for &(put, id) in ops {
+        let k = key(corpus, id);
+        if put {
+            let v = id.to_le_bytes().to_vec();
+            cached.put(&k, &v).unwrap();
+            noprefix.put(&k, &v).unwrap();
+            model.insert(k, v);
+        } else {
+            let want = model.remove(&k).is_some();
+            assert_eq!(cached.remove(&k), want);
+            assert_eq!(noprefix.remove(&k), want);
+        }
+    }
+
+    let (a, b) = (key(corpus, bounds.0), key(corpus, bounds.1));
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    check_against_model("cached", &cached, &model, corpus, (&lo, &hi));
+    check_against_model("prefixless", &noprefix, &model, corpus, (&lo, &hi));
 }
 
 /// 24 seeded cases per corpus ([`for_each_case`]): a put/remove script of
@@ -243,18 +227,17 @@ fn chunk_relative_corpus_equivalent() {
     corpus_equivalent(0xC4, Corpus::Relative);
 }
 
-/// The read-only acceptance check from the issue, in miniature: with the
-/// prefix cache on, a lookup-heavy phase must dereference off-heap key
-/// bytes at least 5× less often than with the cache off (per-lookup,
-/// measured over the same key stream on identical content).
+/// The read-only acceptance check from the cache's issue, in miniature: a
+/// lookup-heavy phase must dereference off-heap key bytes at least 5× less
+/// often through cached prefixes than through the full-compare reference
+/// (`PrefixlessLex`: per-lookup, over the same key stream on identical
+/// content).
 #[test]
-fn prefix_cache_cuts_offheap_derefs() {
-    let mut cfg_on = tiny(true);
-    cfg_on.chunk_capacity = 1024; // deep in-chunk binary searches
-    let mut cfg_off = cfg_on.clone();
-    cfg_off.prefix_cache = false;
-    let on = OakMap::with_config(cfg_on);
-    let off = OakMap::with_config(cfg_off);
+fn cached_prefixes_cut_offheap_derefs() {
+    let mut cfg = tiny();
+    cfg.chunk_capacity = 1024; // deep in-chunk binary searches
+    let on = OakMap::with_config(cfg.clone());
+    let off = OakMap::with_comparator(cfg, PrefixlessLex);
     let k = |id: u32| {
         let mut k = b"stem".to_vec();
         k.extend_from_slice(&(id.wrapping_mul(2_654_435_761)).to_be_bytes());
@@ -358,7 +341,7 @@ fn descend(map: &OakMap, from: Option<&[u8]>, lo: Option<&[u8]>) -> Vec<Vec<u8>>
 
 #[test]
 fn scans_cross_chunks_with_different_bases() {
-    let mut cfg = tiny(true);
+    let mut cfg = tiny();
     cfg.chunk_capacity = 32;
     for batch_scan in [true, false] {
         let map = OakMap::with_config(cfg.clone().batch_scan(batch_scan));
@@ -442,7 +425,7 @@ fn scans_cross_chunks_with_different_bases() {
 /// — and bases — the cursor passes through.
 #[test]
 fn scans_cross_changing_bases_under_concurrent_rebalances() {
-    let mut cfg = tiny(true);
+    let mut cfg = tiny();
     cfg.chunk_capacity = 32;
     for batch_scan in [true, false] {
         let map = OakMap::with_config(cfg.clone().batch_scan(batch_scan));

@@ -28,7 +28,6 @@ fn tiny() -> Arc<OakMap> {
         },
         shared_arenas: None,
         reclamation: oak_mempool::ReclamationPolicy::RetainHeaders,
-        prefix_cache: true,
         ..OakMapConfig::default()
     }))
 }

@@ -4,8 +4,11 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use oak_core::legacy::TypedOakMap;
+use oak_core::serde_api::{StringSerializer, U64Serializer};
 use oak_core::{OakMap, OakMapConfig};
-use oak_mempool::PoolConfig;
+use oak_failpoints::SplitMix64;
+use oak_mempool::{PoolConfig, ReclamationPolicy};
 
 const THREADS: usize = 4;
 
@@ -23,7 +26,6 @@ fn stress_map() -> Arc<OakMap> {
         },
         shared_arenas: None,
         reclamation: oak_mempool::ReclamationPolicy::RetainHeaders,
-        prefix_cache: true,
         ..OakMapConfig::default()
     }))
 }
@@ -316,4 +318,62 @@ fn scans_see_stable_keys_during_churn() {
     }
     stop.store(true, Ordering::Relaxed);
     churn.join().unwrap();
+}
+
+/// The legacy API's `put` and `remove` hand back the old value, copied
+/// under the same header write lock that replaces or deletes it. Several
+/// threads run both over a small key set while removes and re-inserts
+/// keep the chunks rebalancing (and so retiring and freeing dead keys)
+/// under them: whatever comes back must be a value written *for that key*
+/// — each value embeds its key's id — never a neighbour's, which is what a
+/// search over recycled key bytes could return.
+#[test]
+fn legacy_put_remove_return_their_own_keys_values_under_rebalance_churn() {
+    const KEYS: u64 = 400;
+    for policy in [
+        ReclamationPolicy::RetainHeaders,
+        ReclamationPolicy::ReclaimHeaders,
+    ] {
+        let map = TypedOakMap::new(
+            OakMap::with_config(OakMapConfig::small().reclamation(policy)),
+            U64Serializer,
+            StringSerializer,
+        );
+        let own = |id: u64, v: &str| v.starts_with(&format!("{id}:"));
+        std::thread::scope(|s| {
+            for tid in 0..THREADS as u64 {
+                let (map, own) = (&map, &own);
+                s.spawn(move || {
+                    let mut rng = SplitMix64::new(0x1E6AC7 + tid);
+                    for round in 0..6_000u64 {
+                        let id = rng.below(KEYS);
+                        let old = if rng.below(5) < 2 {
+                            map.remove(&id)
+                        } else {
+                            // Lengths vary, so replacing also resizes.
+                            let pad = "x".repeat(rng.below(48) as usize);
+                            map.put(&id, &format!("{id}:{tid}:{round}:{pad}")).unwrap()
+                        };
+                        if let Some(old) = old {
+                            assert!(own(id, &old), "key {id} handed back {old:?}");
+                        }
+                    }
+                });
+            }
+        });
+        let inner = map.inner();
+        assert!(inner.stats().rebalances > 0, "no rebalance raced the ops");
+        inner.validate();
+        let left = map.collect_range(None, None);
+        assert_eq!(left.len(), map.len());
+        for (id, v) in &left {
+            assert!(own(*id, v), "key {id} holds {v:?}");
+            assert_eq!(map.remove(id).as_ref(), Some(v));
+        }
+        assert!(map.is_empty());
+        inner.validate();
+        inner.drain_quarantine();
+        #[cfg(feature = "audit")]
+        assert_eq!(inner.audit().leaked_bytes, 0);
+    }
 }

@@ -42,7 +42,7 @@ pub use oak_core::{
     legacy, serde_api, CorruptionKind, DescendIter, EntryIter, KeyComparator, Lexicographic,
     OakError, OakMap, OakMapConfig, OakRBuffer, OakStats, OakStatsSource, OakWBuffer,
     OnHeapSkipListMap, OpBudget, OrderedKvMap, OverloadConfig, OverloadState, RecoveryFailure,
-    RetryPolicy, ShardSplitter, ShardedOakMap, U64BeComparator, ZeroCopyRead, ZeroCopyView,
+    RetryPolicy, ShardSplitter, ShardedOakMap, U64BeComparator, ZeroCopyView,
 };
 
 /// Crash-durable checkpoint/recovery (`durable` feature): stream a live

@@ -10,7 +10,7 @@ use oak_kv::baselines::{LockedBTreeMap, OffHeapSkipListMap};
 use oak_kv::mempool::PoolConfig;
 use oak_kv::{
     KeyComparator, OakMap, OakMapConfig, OnHeapSkipListMap, OrderedKvMap, ShardSplitter,
-    ShardedOakMap, ZeroCopyRead,
+    ShardedOakMap,
 };
 
 /// Lexicographic order whose `prefix()` keeps the trait default (`None`),
@@ -68,12 +68,12 @@ fn bump(buf: &mut [u8]) {
 }
 
 /// Every implementation under test, behind the trait.
-fn all_maps() -> Vec<(&'static str, Box<dyn ZeroCopyRead>)> {
+fn all_maps() -> Vec<(&'static str, Box<dyn OrderedKvMap>)> {
     let range_bounds = vec![key(25), key(50), key(75)];
     vec![
         (
             "OakMap",
-            Box::new(OakMap::with_config(OakMapConfig::small())) as Box<dyn ZeroCopyRead>,
+            Box::new(OakMap::with_config(OakMapConfig::small())) as Box<dyn OrderedKvMap>,
         ),
         (
             "OakMap-prefixless",

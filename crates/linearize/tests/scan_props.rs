@@ -21,7 +21,7 @@
 //!   - volatile values are always from the writers' literal set (no
 //!     torn or stale-freed bytes).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use oak_core::{OakMap, OakMapConfig, OrderedKvMap, ShardedOakMap};
 use oak_failpoints::SplitMix64;
@@ -313,6 +313,217 @@ fn batch_and_per_entry_scans_agree_with_model() {
                 assert_eq!(got_batch, expect, "batch vs model diverged: {ctx}");
                 assert_eq!(got_legacy, expect, "per-entry vs model diverged: {ctx}");
             }
+        }
+    }
+}
+
+// --- demand-driven fills: scan lengths at the ramp edges ----------------
+//
+// A Set-API cursor (iterators, the sharded merge) fills 16, 32, 64, then
+// 128 entries at a time and judges liveness as it yields; a stream cursor
+// leases 128 at once. The cases below put a scan's end on either side of
+// every one of those boundaries — and of a chunk's end, with capacity-64
+// chunks — in both directions, on OakMap (stream and Set API) and on
+// ShardedOak-4, quiescent and under a writer that keeps splitting and
+// merging the chunks being scanned, and compare what is delivered with a
+// `BTreeMap` model of the keys the writer never touches.
+
+/// Scan lengths, in stable keys: one, and both sides of each fill edge.
+const RAMP_LENGTHS: [usize; 14] = [1, 15, 16, 17, 47, 48, 49, 111, 112, 113, 127, 128, 129, 300];
+/// Stable keys in the ramp universe (even indices; odd ones are volatile).
+const RAMP_STABLE: usize = 340;
+
+fn ramp_key(i: usize) -> Vec<u8> {
+    format!("r{i:04}").into_bytes()
+}
+
+fn ramp_value(i: usize) -> Vec<u8> {
+    format!("stable-{i:04}").into_bytes()
+}
+
+/// Stable ramp keys end in an even digit.
+fn ramp_stable(key: &[u8]) -> bool {
+    key[key.len() - 1].is_multiple_of(2)
+}
+
+enum RampTarget<'a> {
+    Oak(&'a OakMap),
+    Sharded(&'a ShardedOakMap),
+}
+
+impl RampTarget<'_> {
+    fn map(&self) -> &dyn OrderedKvMap {
+        match self {
+            RampTarget::Oak(m) => *m,
+            RampTarget::Sharded(m) => *m,
+        }
+    }
+
+    /// One scan, stopped once `limit` stable keys were delivered. `top` is
+    /// ascending's exclusive `hi` or descending's inclusive `from`.
+    fn scan(
+        &self,
+        descending: bool,
+        set_api: bool,
+        lo: &[u8],
+        top: Option<&[u8]>,
+        limit: usize,
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut stable = 0;
+        let mut visit = |k: &[u8], v: &[u8]| {
+            out.push((k.to_vec(), v.to_vec()));
+            stable += usize::from(ramp_stable(k));
+            stable < limit
+        };
+        match self {
+            RampTarget::Oak(m) if set_api => {
+                let items: Box<dyn Iterator<Item = _>> = if descending {
+                    Box::new(m.iter_descending(top, Some(lo)))
+                } else {
+                    Box::new(m.iter_range(Some(lo), top))
+                };
+                for (k, v) in items {
+                    // A volatile value may die between its yield and this
+                    // read; a stable one never does.
+                    let k = k.to_vec().expect("keys are immutable");
+                    if let Ok(v) = v.to_vec() {
+                        if !visit(&k, &v) {
+                            break;
+                        }
+                    }
+                }
+            }
+            _ if descending => {
+                self.map().descend(top, Some(lo), &mut visit);
+            }
+            _ => {
+                self.map().ascend(Some(lo), top, &mut visit);
+            }
+        }
+        out
+    }
+}
+
+/// Fills a run of volatile keys, then empties another: chunks under the
+/// scans fill up and split, drain and merge.
+fn ramp_churn(map: &dyn OrderedKvMap, seed: u64, runs: &AtomicUsize, stop: &AtomicBool) {
+    let mut rng = SplitMix64::new(seed);
+    while !stop.load(Ordering::Relaxed) {
+        runs.fetch_add(1, Ordering::Relaxed);
+        let base = rng.below(RAMP_STABLE as u64 - 40) as usize;
+        let fill = rng.below(2) == 0;
+        for j in base..base + 40 {
+            let k = ramp_key(2 * j + 1);
+            if fill {
+                map.put(&k, &volatile_value(rng.below(4))).unwrap();
+            } else {
+                map.remove(&k);
+            }
+        }
+    }
+}
+
+fn run_ramp_edges(target: &RampTarget, churn: bool, seed: u64) {
+    use std::collections::BTreeMap;
+
+    let map = target.map();
+    let mut rng = SplitMix64::new(seed);
+    // Seeded insertion order: chunks end up with bypasses among their
+    // sorted cells, which is what widens a descending tail window.
+    let mut order: Vec<usize> = (0..RAMP_STABLE).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for i in order {
+        map.put(&ramp_key(2 * i), &ramp_value(i)).unwrap();
+        model.insert(ramp_key(2 * i), ramp_value(i));
+    }
+
+    let stop = AtomicBool::new(false);
+    let churn_runs = AtomicUsize::new(0);
+    let mut volatile_seen = 0;
+    std::thread::scope(|s| {
+        if churn {
+            s.spawn(|| ramp_churn(map, seed ^ 0xc4a2, &churn_runs, &stop));
+        }
+        for (round, &len) in RAMP_LENGTHS.iter().cycle().enumerate() {
+            // Three passes over the lengths, and under churn as many more
+            // as it takes the writer to have rewritten the map a few times.
+            let writer_done = !churn || churn_runs.load(Ordering::Relaxed) >= 60;
+            if round >= 3 * RAMP_LENGTHS.len() && writer_done {
+                break;
+            }
+            let a = rng.below((RAMP_STABLE - len) as u64 + 1) as usize;
+            let (lo, last) = (ramp_key(2 * a), ramp_key(2 * (a + len - 1)));
+            // Odd rounds end at a bound, even ones when the callback says so.
+            let bounded = round % 2 == 1;
+            for descending in [false, true] {
+                for set_api in [false, true] {
+                    if set_api && matches!(target, RampTarget::Sharded(_)) {
+                        continue; // its merge *is* the Set-API cursor
+                    }
+                    let hi_excl = ramp_key(2 * (a + len - 1) + 1);
+                    let got = match (descending, bounded) {
+                        (false, true) => {
+                            target.scan(false, set_api, &lo, Some(&hi_excl), usize::MAX)
+                        }
+                        (false, false) => target.scan(false, set_api, &lo, None, len),
+                        (true, true) => target.scan(true, set_api, &lo, Some(&last), usize::MAX),
+                        (true, false) => target.scan(true, set_api, &ramp_key(0), Some(&last), len),
+                    };
+                    let ctx = format!(
+                        "seed {seed:#x} len {len} from {a} desc={descending} set_api={set_api} \
+                         bounded={bounded} churn={churn}"
+                    );
+                    for w in got.windows(2) {
+                        let ordered = if descending {
+                            w[0].0 > w[1].0
+                        } else {
+                            w[0].0 < w[1].0
+                        };
+                        assert!(ordered, "{ctx}: out of order or repeated: {w:?}");
+                    }
+                    let (stable, volatile): (Vec<_>, Vec<_>) =
+                        got.into_iter().partition(|(k, _)| ramp_stable(k));
+                    volatile_seen += volatile.len();
+                    for (k, v) in &volatile {
+                        assert!(churn, "{ctx}: phantom {:?}", String::from_utf8_lossy(k));
+                        assert!(
+                            v.len() == 2 && v[0] == b'v' && v[1] % 10 == 0,
+                            "{ctx}: torn {v:?}"
+                        );
+                    }
+                    let mut expect: Vec<(Vec<u8>, Vec<u8>)> = model
+                        .range(lo.clone()..=last.clone())
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    if descending {
+                        expect.reverse();
+                    }
+                    assert_eq!(stable, expect, "{ctx}: diverged from the model");
+                }
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(
+        churn,
+        volatile_seen > 0,
+        "seed {seed:#x}: the writer's keys"
+    );
+}
+
+#[test]
+fn ramp_edge_scans_agree_with_model() {
+    for (capacity, seed) in [(64, 0x4a31u64), (512, 0x77e0)] {
+        let cfg = || OakMapConfig::small().chunk_capacity(capacity);
+        for churn in [false, true] {
+            let oak = OakMap::with_config(cfg());
+            run_ramp_edges(&RampTarget::Oak(&oak), churn, seed);
+            let sharded = ShardedOakMap::with_config(4, cfg());
+            run_ramp_edges(&RampTarget::Sharded(&sharded), churn, seed ^ 0x5a);
         }
     }
 }

@@ -50,7 +50,7 @@ pub use classstack::LARGE_MAX_PADDED;
 pub use error::{AccessError, AllocError, ContendedInfo, LockSite, ValueOpError};
 pub use freelist::FreeList;
 pub use header::{HeaderRef, LockLimit, LockState, DEFAULT_LOCK_WAIT, HEADER_SIZE};
-pub use pool::{MemoryPool, PoolConfig};
+pub use pool::{prefetch_line, MemoryPool, PoolConfig};
 pub use refs::{SliceRef, MAX_ARENA_SIZE, MAX_BLOCKS, MAX_SLICE_LEN};
 pub use shared::{ArenaPool, ArenaPoolStats};
 pub use stats::{Merge, Metric, PoolStats};

@@ -330,7 +330,7 @@ pool_metrics! {
     /// Chunk batches snapshotted by the batch scan pipeline: each is one
     /// staleness/revision check amortized over every entry it yields (the
     /// one-check-per-chunk invariant's proof counter).
-    striped sum scan_chunk_batches => note_scan_chunk_batch;
+    striped sum scan_chunk_batches;
     /// Batch refills that found their chunk changed (frozen/replaced,
     /// revision stamp advanced) and re-located via the index. Low values
     /// relative to `scan_chunk_batches` show scans revalidate only when a
@@ -340,6 +340,24 @@ pool_metrics! {
     /// instead of allocating a fresh one (per-scan allocation is O(1), not
     /// O(entries)).
     striped sum scan_buffer_reuses => note_scan_buffer_reuse;
+    /// Entries the batch scan pipeline snapshotted out of chunk entry
+    /// arrays, delivered or not. Against the entries scans delivered it
+    /// shows over-collection: a fill is sized by what its cursor has
+    /// delivered so far, so a short scan snapshots a small multiple of what
+    /// it hands out.
+    striped sum scan_entries_snapshotted;
+}
+
+impl crate::MemoryPool {
+    /// Records one batch fill that snapshotted `entries` entries: one
+    /// [`PoolStats::scan_chunk_batches`] event and `entries` more
+    /// [`PoolStats::scan_entries_snapshotted`].
+    #[inline]
+    pub fn note_scan_fill(&self, entries: usize) {
+        let counters = self.counters();
+        counters.scan_chunk_batches.incr();
+        counters.scan_entries_snapshotted.add(entries as u64);
+    }
 }
 
 impl Counters {

@@ -285,6 +285,19 @@ impl ValueStore {
         }
     }
 
+    /// Asks for the cache line a read of `h`'s value will want next: the
+    /// start of its payload. The payload word is read *without* the lock,
+    /// so it may be stale the moment it is loaded — which is fine for a
+    /// hint: the word only forms an address ([`MemoryPool::prefetch`]) and
+    /// nothing is read through it; the reader that follows takes the lock
+    /// and loads the word again.
+    #[inline]
+    pub fn prefetch_payload(&self, h: HeaderRef) {
+        // SAFETY: h designates a header slot from allocate_value.
+        let header = unsafe { Header::at(&self.pool, h) };
+        self.pool.prefetch(header.payload());
+    }
+
     /// Releases a read lock taken by [`scan_lock`](Self::scan_lock).
     ///
     /// # Safety
@@ -402,9 +415,28 @@ impl ValueStore {
     /// contents (the legacy `ConcurrentNavigableMap.put` shape, which must
     /// return the previous value). Returns `Ok(None)` if deleted.
     pub fn replace(&self, h: HeaderRef, data: &[u8]) -> Result<Option<Vec<u8>>, AllocError> {
-        oak_failpoints::fail_point!("value/replace", Err(AllocError::Injected));
-        let Ok(header) = self.write_locked(h, None) else {
-            return Ok(None);
+        match self.replace_at(h, data, None) {
+            Ok(old) => Ok(old),
+            // Legacy conflation, as in `put`.
+            Err(ValueOpError::Access(_)) => Ok(None),
+            Err(ValueOpError::Alloc(e)) => Err(e),
+        }
+    }
+
+    /// [`replace`](Self::replace) with the lock wait clamped by `deadline`
+    /// and a lost wait surfaced as `Err(Access(Contended))`, like
+    /// [`put_at`](Self::put_at); `Ok(None)` found the value deleted.
+    pub fn replace_at(
+        &self,
+        h: HeaderRef,
+        data: &[u8],
+        deadline: Option<Instant>,
+    ) -> Result<Option<Vec<u8>>, ValueOpError> {
+        oak_failpoints::fail_point!("value/replace", Err(AllocError::Injected.into()));
+        let header = match self.write_locked(h, deadline) {
+            Ok(header) => header,
+            Err(AccessError::Deleted) => return Ok(None),
+            Err(e @ AccessError::Contended(_)) => return Err(e.into()),
         };
         let old = header.payload();
         let old_copy = if old.is_null() {
@@ -421,7 +453,7 @@ impl ValueStore {
         } else {
             match self.replace_payload(&header, old, data) {
                 Ok(()) => Ok(Some(old_copy)),
-                Err(e) => Err(e),
+                Err(e) => Err(e.into()),
             }
         };
         header.write_unlock();

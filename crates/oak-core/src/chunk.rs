@@ -158,8 +158,9 @@ pub(crate) enum LinkOutcome {
 
 /// One snapshot record in a scan batch: the key's slice reference, the
 /// key bytes' address (the pool block translation runs once at fill time
-/// instead of once per yield), the value header, and — for stream drains
-/// — the fill-time scan-lock lease with the payload's resolved address.
+/// instead of once per yield), the value header, and — once a stream
+/// cursor has leased the batch — the scan-lock lease with the payload's
+/// resolved address.
 #[derive(Clone, Copy)]
 pub(crate) struct BatchEntry {
     /// The key's pool reference (revalidation re-locates from this).
@@ -172,8 +173,9 @@ pub(crate) struct BatchEntry {
     pub(crate) hdr: HeaderRef,
     /// Release token of the read lock taken at fill time
     /// ([`ValueStore::scan_lock`](oak_mempool::ValueStore::scan_lock));
-    /// 0 when this entry holds no lease (Set-API cursors, or the writer
-    /// was active at fill) — such entries are read individually at yield.
+    /// 0 when this entry holds no lease (Set-API cursors, or a writer was
+    /// active when the batch was leased) — such entries are read
+    /// individually at yield.
     pub(crate) hbase: usize,
     /// Resolved payload address (valid only when `hbase != 0`; 0 for
     /// empty values).
@@ -187,9 +189,11 @@ impl BatchEntry {
     ///
     /// # Safety
     /// The epoch pin held when the batch was filled must still be held
-    /// (scan cursors hold theirs for their whole lifetime).
+    /// (scan cursors hold theirs for their whole lifetime) for as long as
+    /// the bytes are used: the lifetime is the caller's to choose, since
+    /// the bytes live in the pool, not in this record.
     #[inline]
-    pub(crate) unsafe fn key_bytes(&self) -> &[u8] {
+    pub(crate) unsafe fn key_bytes<'k>(&self) -> &'k [u8] {
         std::slice::from_raw_parts(self.kptr as *const u8, self.key.len() as usize)
     }
 }
@@ -825,13 +829,15 @@ impl Chunk {
         }
     }
 
-    /// Snapshots up to `max` live entries into `out` in one pass over the
-    /// sorted linked list, starting at entry `start` — the batch-scan
-    /// building block. Entries are appended as [`BatchEntry`] records with
-    /// the key bytes' address resolved once at fill time; `admit` judges
-    /// each live candidate's value header — returning the fill-time lease
-    /// `(hbase, vptr, vlen)` to record (all-zero for "read at yield"), or
-    /// `None` to skip a dead entry without leaving the walk.
+    /// Snapshots up to `max` entries into `out` in one pass over the sorted
+    /// linked list, starting at entry `start` — the batch-scan building
+    /// block. The walk reads the entry array and nothing off-heap: every
+    /// entry with a value reference (non-⊥) is appended as a
+    /// [`BatchEntry`] with the key bytes' address resolved, holding no
+    /// lease; whether its value is still live is the cursor's to judge,
+    /// when it leases the batch or yields the entry. With `request_headers`
+    /// the walk asks for each appended entry's value-header line as it goes
+    /// (a stream cursor is about to lock every one of them).
     ///
     /// `strict_after` skips entries ≤ the given key — the cursor's resume
     /// bound after a hop or re-entry; since the list is sorted the
@@ -855,7 +861,7 @@ impl Chunk {
         strict_after: Option<&[u8]>,
         hi: Option<(&[u8], bool)>,
         max: usize,
-        mut admit: impl FnMut(HeaderRef) -> Option<(usize, usize, u32)>,
+        request_headers: bool,
         out: &mut Vec<BatchEntry>,
     ) -> (u32, bool) {
         let mut cur = start;
@@ -884,22 +890,23 @@ impl Chunk {
                     return (NONE, true);
                 }
             }
-            if let Some(h) = self.value_ref(cur) {
-                if let Some((hbase, vptr, vlen)) = admit(h) {
-                    let key = self.key_ref(cur);
-                    // SAFETY: key bytes are immutable and the scan's epoch
-                    // pin keeps the slice from being reclaimed, so the
-                    // address stays valid for the batch's lifetime.
-                    let kptr = unsafe { pool.slice(key) }.as_ptr() as usize;
-                    out.push(BatchEntry {
-                        key,
-                        kptr,
-                        hdr: h,
-                        hbase,
-                        vptr,
-                        vlen,
-                    });
+            if let Some(hdr) = self.value_ref(cur) {
+                if request_headers {
+                    pool.prefetch(hdr);
                 }
+                let key = self.key_ref(cur);
+                // SAFETY: key bytes are immutable and the scan's epoch
+                // pin keeps the slice from being reclaimed, so the
+                // address stays valid for the batch's lifetime.
+                let kptr = unsafe { pool.slice(key) }.as_ptr() as usize;
+                out.push(BatchEntry {
+                    key,
+                    kptr,
+                    hdr,
+                    hbase: 0,
+                    vptr: 0,
+                    vlen: 0,
+                });
             }
             cur = self.entry_next(cur);
         }

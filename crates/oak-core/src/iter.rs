@@ -15,9 +15,9 @@
 //! Two execution modes share each cursor
 //! ([`OakMapConfig::batch_scan`](crate::OakMapConfig)):
 //!
-//! * **Batch mode** (default): the cursor snapshots a chunk's sorted live
-//!   entries into a reusable on-heap buffer in one linked-list pass —
-//!   one staleness check per *chunk-batch* (replacement pointer plus
+//! * **Batch mode** (default): the cursor snapshots a run of a chunk's
+//!   sorted entries into a reusable on-heap buffer in one linked-list pass
+//!   — one staleness check per *chunk-batch* (replacement pointer plus
 //!   Jiffy-style revision stamp), zero per-entry bound checks when the
 //!   successor's `min_key` proves the whole chunk in range — then drains
 //!   the buffer. Refills revalidate: a chunk whose revision moved since
@@ -29,14 +29,42 @@
 //!   one linked-list hop per yielded entry. Kept as the A/B baseline and
 //!   the finest-grained interleaving surface.
 //!
-//! Both modes satisfy the same §1.1 contract: every entry in a batch is
-//! read point-in-time during the snapshot walk, which is exactly what the
-//! per-entry walker could observe under some interleaving; liveness is
-//! still judged per yielded entry via the shared value-header state.
+//! A batch pays off-heap misses only for what it delivers, and asks for
+//! them early. The snapshot walk reads the entry array and nothing else;
+//! what the array gives a chunk over a skiplist is that it names the next
+//! headers, keys and payloads *before* the walk reaches them, so their
+//! cache lines are requested ([`prefetch_line`]) ahead of use and the
+//! misses overlap instead of queueing behind one another:
+//!
+//! * A **Set-API cursor** (iterators, both sharded merges) holds no lease.
+//!   It judges an entry live when it *yields* it, not when it snapshots
+//!   it, so an entry it never delivers costs no header read; each yield
+//!   asks for the next slot's header and key lines and for the yielded
+//!   entry's payload line. Its fills follow demand: [`SCAN_BATCH`]` / 8`
+//!   entries first, doubling to [`SCAN_BATCH`], so a short scan snapshots
+//!   a small multiple of what it hands out.
+//! * A **stream cursor** leases the whole batch, in two passes: the walk
+//!   requests every header line, then the leases are taken on lines that
+//!   are arriving, each requesting its entry's key and payload line. The
+//!   lock CASes themselves do not overlap (a locked read-modify-write
+//!   drains the pipeline on x86); the requested lines do.
+//!
+//! Both modes satisfy the same §1.1 contract. An entry is in the batch
+//! because it was linked, with a value, at some instant of the snapshot
+//! walk — which is what the per-entry walker could observe under some
+//! interleaving — and its liveness is judged later still, on the shared
+//! value-header state, when it is leased or yielded: a key removed after
+//! the fill and before its yield is simply not delivered, which §1.1
+//! permits of any removal concurrent with the scan. Judging late is safe
+//! for the same reason the snapshot is: the revision stamp is re-read at
+//! every refill, so a batch never outlives one revalidation interval of
+//! its chunk, and the cursor's epoch pin keeps every key it parked
+//! readable for as long.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
-use oak_mempool::{AccessError, HeaderRef, ScanLock, SliceRef, ValueStore};
+use oak_mempool::{prefetch_line, AccessError, HeaderRef, ScanLock, SliceRef, ValueStore};
 
 use crate::budget::{Budgeted, ScanRules, Unbounded};
 use crate::buffer::OakRBuffer;
@@ -45,13 +73,56 @@ use crate::cmp::KeyComparator;
 use crate::map::OakMap;
 use crate::reclaim::EpochPin;
 
-/// Entries snapshotted per ascending batch refill. Bounds the reusable
-/// buffer (and the staleness window of a snapshot) while still amortizing
-/// the per-chunk checks over enough entries that they vanish from the
-/// per-entry cost. Descending scans need the highest keys first, so they
-/// bound their snapshot from the top instead: a *tail window* starting at
-/// most this many prefix cells below the upper bound.
+/// Most entries one batch fill snapshots. Bounds the reusable buffer (and
+/// the staleness window of a snapshot) while still amortizing the
+/// per-chunk checks over enough entries that they vanish from the
+/// per-entry cost. A stream cursor fills this many at once; a Set-API
+/// cursor works up to it from an eighth ([`LeasedBatch::next_size`]).
+/// Descending scans need the highest keys first, so they bound their
+/// snapshot from the top instead: a *tail window* starting at most a
+/// fill's worth of prefix cells below the upper bound.
 const SCAN_BATCH: usize = 128;
+
+thread_local! {
+    /// Read leases this thread's stream scans hold on values they have not
+    /// delivered yet (the one being delivered included). Non-zero only
+    /// inside a stream-scan callback, which is how a writer that lost a
+    /// lock wait can tell it may be waiting for its own thread.
+    static LEASES_HELD: Cell<usize> = const { Cell::new(0) };
+}
+
+/// See [`LEASES_HELD`].
+pub(crate) fn leases_held() -> usize {
+    LEASES_HELD.with(Cell::get)
+}
+
+/// One entry as a cursor yields it.
+pub(crate) struct Yielded<'a> {
+    /// The key's pool reference.
+    pub(crate) key: SliceRef,
+    /// The key's bytes (batch mode resolved their address when it filled).
+    /// Immutable, and readable for as long as the cursor that yielded them
+    /// lives and holds its epoch pin — *not* for all of `'a`: whoever
+    /// keeps them past the next call keeps the cursor too.
+    pub(crate) key_bytes: &'a [u8],
+    /// The entry's value header.
+    pub(crate) hdr: HeaderRef,
+}
+
+impl<'a> Yielded<'a> {
+    /// The per-entry walker's yield: resolves the key's bytes now.
+    ///
+    /// # Safety
+    /// `key` must be pinned by the yielding cursor (read from a chunk the
+    /// cursor observed unreplaced under its epoch pin).
+    unsafe fn resolve<C: KeyComparator>(map: &'a OakMap<C>, key: SliceRef, hdr: HeaderRef) -> Self {
+        Yielded {
+            key,
+            key_bytes: map.pool().slice(key),
+            hdr,
+        }
+    }
+}
 
 /// How a cursor's drain delivers one entry's value to the visit closure.
 pub(crate) enum ValueView<'a> {
@@ -63,44 +134,50 @@ pub(crate) enum ValueView<'a> {
     Read(HeaderRef),
 }
 
-/// What the scan skeletons need from a cursor, in either direction: the
-/// stream scan ([`OakMap::stream_scan`]) pushes through `drain`, the
-/// Set-API iterators and the sharded k-way merge pull through `next_raw`.
-pub(crate) trait ScanCursor {
-    /// Advances to the next live entry, returning raw references.
-    fn next_raw(&mut self) -> Option<(SliceRef, HeaderRef)>;
+/// What the scan skeletons need from a cursor over a map borrowed for
+/// `'a`, in either direction: the stream scan ([`OakMap::stream_scan`])
+/// pushes through `drain`, the Set-API iterators and the sharded k-way
+/// merge pull through `next_raw`.
+pub(crate) trait ScanCursor<'a> {
+    /// Advances to the next live entry.
+    fn next_raw(&mut self) -> Option<Yielded<'a>>;
 
     /// Bulk drain: feeds every remaining live entry to `f` as resolved key
     /// bytes plus a [`ValueView`], until `f` returns `false` or the scan
     /// ends. Equivalent to repeated `next_raw`, but in batch mode a whole
-    /// batch span is walked inline — no per-entry key translation, and (on
-    /// a stream cursor) no per-entry lock traffic: leased entries hand out
-    /// the payload bytes resolved at fill time, still covered by the
-    /// fill-time read lock.
+    /// batch span is walked inline, and (on a stream cursor) with no
+    /// per-entry lock traffic: leased entries hand out the payload bytes
+    /// resolved at fill time, still covered by the fill-time read lock.
     fn drain(&mut self, f: impl FnMut(&[u8], ValueView<'_>) -> bool);
 }
 
 /// One chunk-batch of a scan: the reusable snapshot buffer and, on a
-/// stream cursor, the value read locks taken while it was filled.
+/// stream cursor, the value read locks taken when it was filled.
 ///
-/// Stream-drain cursors ([`OakMap::for_each_in`] and friends) lease each
-/// entry's read lock at fill time: independent CASes pipeline across the
-/// snapshot walk, and the drain then delivers payload bytes with no
-/// per-entry lock traffic. A lease is retired as its entry is delivered;
-/// an early-stopped scan's undrained tail releases at the next fill or on
-/// drop. Set-API cursors take none — their consumers read values at their
-/// own pace (an iterator may be held indefinitely, and a lease would block
-/// writers for that long).
+/// Stream-drain cursors ([`OakMap::for_each_in`] and friends) lease every
+/// entry's read lock at fill time, on header lines the snapshot walk asked
+/// for, and the drain then delivers payload bytes with no per-entry lock
+/// traffic. A lease is retired as its entry is delivered; an early-stopped
+/// scan's undrained tail releases at the next fill or on drop. Until then
+/// a writer to a leased value waits — for one callback at most if it aims
+/// at the entry being delivered, for every delivery still ahead of its
+/// target otherwise; a write *from* the callback to a value its own batch
+/// holds can never get the lock (see [`OakMap::for_each_in`]). Set-API
+/// cursors take no lease — their consumers read values at their own pace
+/// (an iterator may be held indefinitely, and a lease would block writers
+/// for that long) — and judge each entry's liveness as they yield it.
 ///
 /// Every `unsafe` step of the lease protocol is here, once.
 struct LeasedBatch<'a> {
     store: &'a ValueStore,
-    /// Live entries of the current chunk-batch in ascending order, key
-    /// addresses resolved at fill time. Capacity survives refills, so a
-    /// whole scan allocates O(1) buffers.
+    /// Entries of the current chunk-batch in ascending order, key
+    /// addresses resolved at fill time. Capacity is reserved once and
+    /// survives refills, so a whole scan allocates O(1) buffers.
     entries: Vec<BatchEntry>,
     /// Take fill-time leases (stream cursor)?
     leased: bool,
+    /// Entries the next fill aims for ([`Self::next_size`]).
+    want: usize,
 }
 
 impl<'a> LeasedBatch<'a> {
@@ -109,7 +186,23 @@ impl<'a> LeasedBatch<'a> {
             store,
             entries: Vec::new(),
             leased,
+            // A stream scan of a hundred entries is one fill, one lease
+            // pass; a ramp there measured within 3 % of it either way
+            // (EXPERIMENTS.md, "Demand-driven scan fill").
+            want: if leased { SCAN_BATCH } else { SCAN_BATCH / 8 },
         }
+    }
+
+    /// How many entries the coming fill should snapshot (ascending) or
+    /// how many prefix cells its tail window should span (descending).
+    /// Each fill happens because the one before was delivered in full, so
+    /// doubling per fill makes the size follow what the cursor has
+    /// delivered: a scan that stops after `n` entries has snapshotted
+    /// fewer than `2n + SCAN_BATCH / 8`.
+    fn next_size(&mut self) -> usize {
+        let n = self.want;
+        self.want = (n * 2).min(SCAN_BATCH);
+        n
     }
 
     /// Releases every lease still held. Tokens are zeroed, so release is
@@ -118,17 +211,20 @@ impl<'a> LeasedBatch<'a> {
         if !self.leased {
             return;
         }
+        let mut released = 0;
         for e in &mut self.entries {
             if e.hbase != 0 {
                 // SAFETY: the token was minted by `scan_lock` during this
                 // batch's fill and the read lock is still held.
                 unsafe { self.store.scan_unlock(e.hbase) };
                 e.hbase = 0;
+                released += 1;
             }
         }
+        LEASES_HELD.with(|n| n.set(n.get() - released));
     }
 
-    /// Replaces the batch with a snapshot of up to `max` live entries of
+    /// Replaces the batch with a snapshot of up to `max` entries of
     /// `chunk` from entry `start` on, leasing their values on a stream
     /// cursor. Bounds and result are
     /// [`collect_batch`](Chunk::collect_batch)'s.
@@ -143,11 +239,12 @@ impl<'a> LeasedBatch<'a> {
     ) -> (u32, bool) {
         self.release();
         let pool = map.pool();
-        if self.entries.capacity() > 0 {
+        if self.entries.capacity() == 0 {
+            self.entries.reserve(SCAN_BATCH);
+        } else {
             pool.note_scan_buffer_reuse();
         }
         self.entries.clear();
-        let (store, leased) = (self.store, self.leased);
         let out = chunk.collect_batch(
             pool,
             &map.cmp,
@@ -155,25 +252,76 @@ impl<'a> LeasedBatch<'a> {
             strict_after,
             hi,
             max,
-            |h| {
-                if leased {
-                    // A header a writer holds right now degrades that one
-                    // entry to the waiting read path at drain time.
-                    match store.scan_lock(h) {
-                        ScanLock::Held { hbase, vptr, vlen } => Some((hbase, vptr, vlen)),
-                        ScanLock::Contended => Some((0, 0, 0)),
-                        ScanLock::Dead => None,
-                    }
-                } else if store.is_deleted(h) {
-                    None
-                } else {
-                    Some((0, 0, 0))
-                }
-            },
+            self.leased,
             &mut self.entries,
         );
-        pool.note_scan_chunk_batch();
+        pool.note_scan_fill(self.entries.len());
+        if self.leased {
+            self.lease();
+        }
         out
+    }
+
+    /// The second pass of a stream fill: takes a read lease on every
+    /// snapshotted value — on header lines the walk already asked for —
+    /// drops the entries found dead, and asks for the key and payload line
+    /// of each one kept, which the drain is about to read.
+    fn lease(&mut self) {
+        let store = self.store;
+        let mut held = 0;
+        self.entries.retain_mut(|e| {
+            match store.scan_lock(e.hdr) {
+                ScanLock::Held { hbase, vptr, vlen } => {
+                    (e.hbase, e.vptr, e.vlen) = (hbase, vptr, vlen);
+                    prefetch_line(vptr);
+                    held += 1;
+                }
+                // A header a writer holds right now degrades that one
+                // entry to the waiting read path at drain time.
+                ScanLock::Contended => {}
+                ScanLock::Dead => return false,
+            }
+            prefetch_line(e.kptr);
+            true
+        });
+        LEASES_HELD.with(|n| n.set(n.get() + held));
+    }
+
+    /// Asks for the header and key lines of entry `i` (if there is one):
+    /// what yielding it will read. Of the key, the lines under its first 64
+    /// bytes: a key sits wherever the allocator put it, so the bytes the
+    /// merge's comparison looks at straddle two lines as often as not, and
+    /// half a key arriving late stalled the k-way pick for 15 % of a
+    /// 50-entry merged scan.
+    #[inline]
+    fn request(&self, i: usize) {
+        if let Some(e) = self.entries.get(i) {
+            self.store.pool().prefetch(e.hdr);
+            prefetch_line(e.kptr);
+            prefetch_line(e.kptr + (e.key.len() as usize).clamp(1, 64) - 1);
+        }
+    }
+
+    /// Yields entry `i` of an unleased batch if its value is live *now*,
+    /// asking for what comes after: the header and key lines of entry
+    /// `ahead` — the slot the cursor visits next, out of range at the
+    /// batch's end — and the payload line of the entry yielded, which its
+    /// consumer reads next.
+    #[inline]
+    fn yield_live(&self, i: usize, ahead: usize) -> Option<Yielded<'a>> {
+        self.request(ahead);
+        let e = &self.entries[i];
+        if self.store.is_deleted(e.hdr) {
+            return None;
+        }
+        self.store.prefetch_payload(e.hdr);
+        Some(Yielded {
+            key: e.key,
+            // SAFETY: the filling cursor holds its epoch pin for its
+            // lifetime, which is how long `Yielded` lets the bytes be used.
+            key_bytes: unsafe { e.key_bytes() },
+            hdr: e.hdr,
+        })
     }
 
     /// Hands entry `i` to `f`; returns whether the drain should go on.
@@ -194,12 +342,14 @@ impl<'a> LeasedBatch<'a> {
             unsafe { std::slice::from_raw_parts(item.vptr as *const u8, item.vlen as usize) }
         };
         let keep = f(kb, ValueView::Leased(vb));
-        // Retire the lease the moment the callback returns: a writer is
-        // blocked for one delivery at most, never a whole batch drain (a
-        // paused scan must not wedge concurrent removes).
+        // Retire the lease the moment the callback returns: a writer to
+        // this value waited for one delivery, not for the rest of the
+        // batch (a paused scan must not wedge removes of what it has
+        // already handed out).
         // SAFETY: minted by this batch's fill, still held.
         unsafe { self.store.scan_unlock(item.hbase) };
         self.entries[i].hbase = 0;
+        LEASES_HELD.with(|n| n.set(n.get() - 1));
         keep
     }
 }
@@ -334,9 +484,9 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
         Some((n, e))
     }
 
-    /// Snapshots up to [`SCAN_BATCH`] live entries of `chunk` into the
-    /// reusable buffer, starting at entry `start` and skipping entries ≤
-    /// `strict_after`. Applies the chunk-range fast path: when the
+    /// Snapshots the next run of `chunk`'s entries ([`LeasedBatch::next_size`]
+    /// of them) into the reusable buffer, starting at entry `start` and
+    /// skipping entries ≤ `strict_after`. Applies the chunk-range fast path: when the
     /// successor chunk's `min_key` is ≤ `hi`, the chunk invariant
     /// (entries < successor `min_key`) already proves every entry in
     /// range, so the snapshot walk performs zero per-entry bound checks.
@@ -358,9 +508,12 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
                 }
             }
         };
-        let (resume, bounded) =
-            self.batch
-                .fill(map, &chunk, start, strict_after, hi_opt, SCAN_BATCH);
+        let max = self.batch.next_size();
+        let (resume, bounded) = self
+            .batch
+            .fill(map, &chunk, start, strict_after, hi_opt, max);
+        // Nothing has asked for the first slot's lines yet.
+        self.batch.request(0);
         self.entry = resume;
         if bounded {
             self.tail_done = true;
@@ -377,7 +530,8 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
         oak_failpoints::sync_point!("iter/batch-refill");
         oak_failpoints::fail_point!("iter/batch-refill");
         let map = self.map;
-        // The resume/dedup bound: the last key the drained batch yielded.
+        // The resume/dedup bound: the last key the drained batch examined
+        // (yielded, or found dead at its yield — behind the scan either way).
         if let Some(&BatchEntry { key: lk, .. }) = self.batch.entries.last() {
             self.last_key = Some(lk);
         }
@@ -427,12 +581,13 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
     }
 }
 
-impl<C: KeyComparator> ScanCursor for AscendCursor<'_, C> {
-    fn next_raw(&mut self) -> Option<(SliceRef, HeaderRef)> {
-        if self.batch_mode {
+impl<'a, C: KeyComparator> ScanCursor<'a> for AscendCursor<'a, C> {
+    fn next_raw(&mut self) -> Option<Yielded<'a>> {
+        while self.batch_mode {
             let i = self.next_slot()?;
-            let e = &self.batch.entries[i];
-            return Some((e.key, e.hdr));
+            if let Some(y) = self.batch.yield_live(i, i + 1) {
+                return Some(y);
+            }
         }
         loop {
             // Unconditional per-iteration decision site, *before* the
@@ -490,19 +645,19 @@ impl<C: KeyComparator> ScanCursor for AscendCursor<'_, C> {
             if self.map.store.is_deleted(h) {
                 continue;
             }
-            self.last_key = Some(chunk.key_ref(idx));
-            return Some((chunk.key_ref(idx), h));
+            let key = chunk.key_ref(idx);
+            self.last_key = Some(key);
+            // SAFETY: key buffers are immutable; `key` is pinned.
+            return Some(unsafe { Yielded::resolve(self.map, key, h) });
         }
     }
 
     fn drain(&mut self, mut f: impl FnMut(&[u8], ValueView<'_>) -> bool) {
         while !self.batch_mode {
-            let Some((kref, h)) = self.next_raw() else {
+            let Some(y) = self.next_raw() else {
                 return;
             };
-            // SAFETY: key buffers are immutable; `kref` is pinned.
-            let kb = unsafe { self.map.pool().slice(kref) };
-            if !f(kb, ValueView::Read(h)) {
+            if !f(y.key_bytes, ValueView::Read(y.hdr)) {
                 return;
             }
         }
@@ -534,14 +689,14 @@ impl<C: KeyComparator> Iterator for EntryIter<'_, C> {
     type Item = (OakRBuffer, OakRBuffer);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (kref, h) = self.cursor.next_raw()?;
+        let y = self.cursor.next_raw()?;
         Some((
             OakRBuffer::key(
                 self.cursor.map.pool().clone(),
-                kref,
+                y.key,
                 self.cursor.pin.clone(),
             ),
-            OakRBuffer::value(self.cursor.map.store.clone(), h),
+            OakRBuffer::value(self.cursor.map.store.clone(), y.hdr),
         ))
     }
 }
@@ -559,7 +714,7 @@ impl<C: KeyComparator> Iterator for EntryIter<'_, C> {
 pub struct DescendIter<'a, C: KeyComparator> {
     /// The current chunk-batch (and, on a stream iterator, its leases;
     /// declared first so that it drops first, like [`AscendCursor`]'s): a
-    /// tail window of the chunk's in-range live entries in *ascending*
+    /// tail window of the chunk's in-range entries in *ascending*
     /// order, drained from the back. Descending scans need the highest
     /// keys first, so the [`SCAN_BATCH`] cap bounds the window's start
     /// *below the upper bound* (see [`Self::window_bound`]).
@@ -579,7 +734,7 @@ pub struct DescendIter<'a, C: KeyComparator> {
     /// rebalance replaces the chunk under the scan.
     last_yielded: Option<SliceRef>,
     /// One-item lookahead (set by [`skip_exact`](Self::skip_exact)).
-    pending: Option<(SliceRef, HeaderRef)>,
+    pending: Option<Yielded<'a>>,
     done: bool,
     /// Lifetime epoch pin (see [`AscendCursor::pin`]).
     pin: Arc<EpochPin>,
@@ -671,7 +826,7 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
         }
     }
 
-    /// Snapshots `chunk`'s in-range live entries (ascending) into the
+    /// Snapshots `chunk`'s in-range entries (ascending) into the
     /// reusable buffer, below the upper bound `ub`; the lower end is
     /// positioned once via `lower_bound(lo)`, so the drain needs no
     /// per-entry `lo` checks.
@@ -687,11 +842,12 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
         // first, and a capped stream scan (the common case) may never
         // reach the low end — snapshotting (and leasing) the whole
         // in-range chunk would waste collection work on entries the
-        // drain never delivers. Start at most [`SCAN_BATCH`] prefix
+        // drain never delivers. Start at most a fill's worth of prefix
         // cells below the upper bound instead (bypass runs between the
         // cells only widen the window); a drained window re-enters this
         // chunk with the bound tightened to its start cell.
         self.window_bound = None;
+        let window = self.batch.next_size();
         let sc = chunk.sorted_count();
         if start != NONE && start < sc {
             // Count of prefix cells within the upper bound.
@@ -702,7 +858,7 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
                 },
                 None => sc as i64,
             };
-            let capped = top - SCAN_BATCH as i64;
+            let capped = top - window as i64;
             if capped > start as i64 {
                 start = capped as u32;
                 self.window_bound = Some(chunk.key_ref(start));
@@ -710,6 +866,8 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
         }
         self.batch.fill(map, &chunk, start, None, ub, usize::MAX);
         self.rpos = self.batch.entries.len();
+        // Nothing has asked for the first slot's lines yet.
+        self.batch.request(self.rpos.wrapping_sub(1));
         // Predecessor chunks hold keys < minKey; when minKey ≤ lo (or
         // this is the first chunk) they are all out of range. A capped
         // window is never the end: lower in-range entries remain here.
@@ -918,27 +1076,27 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
     /// Drops the next entry if its key is exactly `key` (used by bounded
     /// views whose upper bound is exclusive).
     pub(crate) fn skip_exact(&mut self, key: &[u8]) {
-        if let Some((kref, h)) = self.next_raw() {
-            let kb = unsafe { self.map.pool().slice(kref) };
-            if self.map.cmp.compare(kb, key) != std::cmp::Ordering::Equal {
-                self.pending = Some((kref, h));
+        if let Some(y) = self.next_raw() {
+            if self.map.cmp.compare(y.key_bytes, key) != std::cmp::Ordering::Equal {
+                self.pending = Some(y);
             }
         }
     }
 }
 
-impl<C: KeyComparator> ScanCursor for DescendIter<'_, C> {
-    fn next_raw(&mut self) -> Option<(SliceRef, HeaderRef)> {
+impl<'a, C: KeyComparator> ScanCursor<'a> for DescendIter<'a, C> {
+    fn next_raw(&mut self) -> Option<Yielded<'a>> {
         if let Some(item) = self.pending.take() {
             return Some(item);
         }
         if self.done {
             return None;
         }
-        if self.batch_mode {
+        while self.batch_mode {
             let i = self.next_slot()?;
-            let e = &self.batch.entries[i];
-            return Some((e.key, e.hdr));
+            if let Some(y) = self.batch.yield_live(i, i.wrapping_sub(1)) {
+                return Some(y);
+            }
         }
         loop {
             oak_failpoints::sync_point!("iter/descend-step");
@@ -974,8 +1132,10 @@ impl<C: KeyComparator> ScanCursor for DescendIter<'_, C> {
             if self.map.store.is_deleted(h) {
                 continue;
             }
-            self.last_yielded = Some(chunk.key_ref(idx));
-            return Some((chunk.key_ref(idx), h));
+            let key = chunk.key_ref(idx);
+            self.last_yielded = Some(key);
+            // SAFETY: key buffers are immutable; `key` is pinned.
+            return Some(unsafe { Yielded::resolve(self.map, key, h) });
         }
     }
 
@@ -983,12 +1143,10 @@ impl<C: KeyComparator> ScanCursor for DescendIter<'_, C> {
         // Per-entry mode drains through `next_raw`; so does a parked
         // `skip_exact` lookahead, which precedes the batch.
         while !self.batch_mode || self.pending.is_some() {
-            let Some((kref, h)) = self.next_raw() else {
+            let Some(y) = self.next_raw() else {
                 return;
             };
-            // SAFETY: key buffers are immutable; `kref` is pinned.
-            let kb = unsafe { self.map.pool().slice(kref) };
-            if !f(kb, ValueView::Read(h)) {
+            if !f(y.key_bytes, ValueView::Read(y.hdr)) {
                 return;
             }
         }
@@ -1004,10 +1162,10 @@ impl<C: KeyComparator> Iterator for DescendIter<'_, C> {
     type Item = (OakRBuffer, OakRBuffer);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (kref, h) = self.next_raw()?;
+        let y = self.next_raw()?;
         Some((
-            OakRBuffer::key(self.map.pool().clone(), kref, self.pin.clone()),
-            OakRBuffer::value(self.map.store.clone(), h),
+            OakRBuffer::key(self.map.pool().clone(), y.key, self.pin.clone()),
+            OakRBuffer::value(self.map.store.clone(), y.hdr),
         ))
     }
 }
@@ -1018,9 +1176,9 @@ impl<C: KeyComparator> OakMap<C> {
     /// The one stream-scan body: drains `cursor` (either direction) into
     /// `f` under `rules`, counting the entries delivered.
     #[inline]
-    fn stream_scan<R: ScanRules>(
-        &self,
-        mut cursor: impl ScanCursor,
+    fn stream_scan<'a, R: ScanRules>(
+        &'a self,
+        mut cursor: impl ScanCursor<'a>,
         rules: &R,
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<u64, R::Error> {
@@ -1064,6 +1222,23 @@ impl<C: KeyComparator> OakMap<C> {
     /// the *stream* API — no per-entry objects, `f` borrows key and value
     /// bytes directly. Returns entries visited; stops early when `f`
     /// returns `false`.
+    ///
+    /// # Writing from the callback
+    ///
+    /// While `f` runs, the scan holds read locks on the value it is showing
+    /// and on the values it has snapshotted and not delivered yet (up to
+    /// 127 of them), so `f` must not write to this map. Another thread's
+    /// write to one of those values waits until the scan has delivered it;
+    /// a write made *by `f`* to one of them can never get the lock. A
+    /// budgeted write then fails as its budget says (`DeadlineExceeded`,
+    /// `Contended`); an unbudgeted one (`put`, `remove`,
+    /// `compute_if_present`, …), which would otherwise wait and retry for
+    /// ever, **panics** with a message naming this cause once its first
+    /// lock wait ([`OakMapConfig::lock_wait`](crate::OakMapConfig)) is
+    /// given up. To update what a scan finds, collect the keys and write
+    /// after it returns, or scan with [`iter_range`](OakMap::iter_range) /
+    /// [`iter_descending`](OakMap::iter_descending), which hold no lock
+    /// between entries.
     pub fn for_each_in(
         &self,
         lo: Option<&[u8]>,
@@ -1082,7 +1257,10 @@ impl<C: KeyComparator> OakMap<C> {
     /// entries. Returns the entries visited, or the typed budget error
     /// ([`OakError::DeadlineExceeded`](crate::OakError), `Overloaded`, or
     /// `Contended`). Entries already handed to `f` stay handed — shedding
-    /// is a truncation, never a rollback.
+    /// is a truncation, never a rollback. `f` must not write to this map
+    /// (see [`for_each_in`](OakMap::for_each_in), "Writing from the
+    /// callback"): the budget bounds the scan's own waits, not a write `f`
+    /// makes.
     pub fn for_each_in_budgeted(
         &self,
         lo: Option<&[u8]>,
@@ -1097,7 +1275,9 @@ impl<C: KeyComparator> OakMap<C> {
     }
 
     /// Descending stream scan (no per-entry objects). Returns entries
-    /// visited; stops early when `f` returns `false`.
+    /// visited; stops early when `f` returns `false`. `f` must not write
+    /// to this map (see [`for_each_in`](OakMap::for_each_in), "Writing from
+    /// the callback").
     pub fn for_each_descending(
         &self,
         from: Option<&[u8]>,

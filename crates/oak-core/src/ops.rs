@@ -250,13 +250,9 @@ impl<C: KeyComparator> OakMap<C> {
                                 .store
                                 .put_at(h, value, budget.deadline)
                                 .map_err(Into::into),
-                            // `replace` waits out the store's own lock
-                            // budget and reports a lost wait like a
-                            // deletion; either way the next attempt
-                            // re-examines the entry.
                             PutOp::Replace(old) => self
                                 .store
-                                .replace(h, value)
+                                .replace_at(h, value, budget.deadline)
                                 .map(|prev| {
                                     **old = prev;
                                     old.is_some()
@@ -414,7 +410,9 @@ impl<C: KeyComparator> OakMap<C> {
     ///   faults): consult the [`RetryState`] — either a jittered,
     ///   deadline-clamped backoff is taken and the caller retries
     ///   (`Ok(())`), or the retry budget is exhausted and the error
-    ///   surfaces.
+    ///   surfaces. The one wait no retry can win — an unbudgeted write made
+    ///   from a stream-scan callback, waiting for a read lease its own
+    ///   thread holds — panics here, naming the cause.
     /// * **Pool exhaustion**: spend one unit of `oom_budget` on an
     ///   emergency reclamation pass and retry; once the budget is gone,
     ///   surface a clean [`OakError::OutOfMemory`]. An expired deadline
@@ -436,7 +434,25 @@ impl<C: KeyComparator> OakMap<C> {
     ) -> Result<(), OakError> {
         drop(pin);
         match e {
-            OakError::Contended(_) => retry.backoff_or(budget, self.pool(), e),
+            OakError::Contended(info) => {
+                // A budget that neither expires nor counts retries waits
+                // for the lock again, for ever. That is right when another
+                // thread holds it; it can never end when the holder is a
+                // read lease of a stream scan whose callback is making
+                // this very call. Say so instead of hanging.
+                let leases = crate::iter::leases_held();
+                assert!(
+                    leases == 0 || budget.deadline.is_some() || budget.policy.max_retries.is_some(),
+                    "oak: an unbudgeted write made from a stream-scan callback (for_each_in, \
+                     for_each_in_budgeted, for_each_descending) gave up a value-lock wait \
+                     ({info:?}) while its own scan holds read leases on {leases} undelivered \
+                     values: it is almost certainly waiting for itself and would retry for \
+                     ever. Write after the scan returns, scan through an iterator (`iter_range`, \
+                     `iter_descending`), which holds no leases, or use a `*_budgeted` write \
+                     and handle its error."
+                );
+                retry.backoff_or(budget, self.pool(), e)
+            }
             OakError::Alloc(AllocError::Injected) if budget.policy.retry_transient_faults => {
                 retry.backoff_or(budget, self.pool(), e)
             }

@@ -21,14 +21,14 @@ use std::sync::Arc;
 
 use std::cmp::Ordering::{Greater, Less};
 
-use oak_mempool::{AccessError, ArenaPool, HeaderRef, SliceRef};
+use oak_mempool::{AccessError, ArenaPool};
 
 use crate::budget::{Budgeted, OpBudget, ScanRules, Unbounded};
 use crate::buffer::{OakRBuffer, OakWBuffer};
 use crate::cmp::{KeyComparator, Lexicographic};
 use crate::config::OakMapConfig;
 use crate::error::OakError;
-use crate::iter::{AscendCursor, ScanCursor};
+use crate::iter::{AscendCursor, ScanCursor, Yielded};
 use crate::map::{OakMap, OakStats};
 use crate::overload::OverloadState;
 
@@ -406,24 +406,21 @@ impl<C: KeyComparator> ShardedOakMap<C> {
     /// the argmin of an ascending merge, `Greater` the argmax of a
     /// descending one — until the cursors drain, `f` returns `false`, or
     /// `rules` end the scan. Returns entries delivered.
-    fn merge_scan<R: ScanRules>(
-        &self,
-        mut iters: Vec<impl ScanCursor>,
+    fn merge_scan<'a, R: ScanRules>(
+        &'a self,
+        mut iters: Vec<impl ScanCursor<'a>>,
         want: std::cmp::Ordering,
         rules: &R,
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<u64, R::Error> {
         // Zero-copy merge heads, allocated once per scan and refilled in
-        // place. Each head caches the *dereferenced* key bytes of the
-        // entry its shard cursor yielded (valid under that cursor's epoch
-        // pin, held by `iters` for the whole merge), so the pick compares
-        // cached slices instead of resolving off-heap references twice per
-        // comparison — no per-entry key buffer is materialized.
-        let mut heads: Vec<Option<(&[u8], HeaderRef)>> = iters
-            .iter_mut()
-            .enumerate()
-            .map(|(i, it)| self.fill_head(i, it.next_raw()))
-            .collect();
+        // place. Each head is the entry its shard cursor yielded, key
+        // bytes resolved by the cursor's own fill — readable while that
+        // cursor lives, and `iters` lives for the whole merge — so the
+        // pick compares slices and no per-entry key buffer or second
+        // address translation is made.
+        let mut heads: Vec<Option<Yielded<'a>>> =
+            iters.iter_mut().map(|it| it.next_raw()).collect();
         let mut count: u64 = 0;
         loop {
             // Keys are unique across shards (routing is deterministic), so
@@ -433,8 +430,12 @@ impl<C: KeyComparator> ShardedOakMap<C> {
             };
             let shard = &self.shards[best].0;
             rules.admit(count, shard.pool())?;
-            let (kb, h) = heads[best].take().expect("picked head is live");
-            match shard.store.read_at(h, rules.deadline(), |v| f(kb, v)) {
+            let head = heads[best].take().expect("picked head is live");
+            let kb = head.key_bytes;
+            match shard
+                .store
+                .read_at(head.hdr, rules.deadline(), |v| f(kb, v))
+            {
                 Ok(keep) => {
                     count += 1;
                     if !keep {
@@ -445,7 +446,7 @@ impl<C: KeyComparator> ShardedOakMap<C> {
                 Err(AccessError::Deleted) => {}
                 Err(AccessError::Contended(info)) => rules.lock_lost(info, shard.pool())?,
             }
-            heads[best] = self.fill_head(best, iters[best].next_raw());
+            heads[best] = iters[best].next_raw();
         }
     }
 
@@ -512,49 +513,18 @@ impl<C: KeyComparator> ShardedOakMap<C> {
         n as usize
     }
 
-    /// Resolves a raw merge head to its dereferenced key bytes once, at
-    /// refill time. The returned slice lives as long as `self`.
-    ///
-    /// # Safety invariant (caller-maintained)
-    ///
-    /// The cursor that yielded `raw` must stay alive (holding its epoch
-    /// pin) until the head is consumed or dropped — exactly the discipline
-    /// the merge loops follow by keeping `iters` for the whole scan. Key
-    /// buffers are immutable, so the cached slice never goes stale while
-    /// pinned.
-    #[inline]
-    fn fill_head(
-        &self,
-        shard: usize,
-        raw: Option<(SliceRef, HeaderRef)>,
-    ) -> Option<(&[u8], HeaderRef)> {
-        raw.map(|(kref, h)| {
-            // SAFETY: see above — `kref` is pinned by its live shard
-            // cursor and key bytes are immutable once published.
-            (unsafe { self.shards[shard].0.pool().slice(kref) }, h)
-        })
-    }
-
     /// Index of the head whose key wins under `want` (Less = argmin for
     /// ascending, Greater = argmax for descending); `None` when all
-    /// iterators are drained. Heads carry their key bytes pre-resolved by
-    /// [`fill_head`](Self::fill_head), so one merge step costs k−1 slice
-    /// comparisons and zero off-heap reference resolutions.
-    fn pick(
-        cmp: &C,
-        heads: &[Option<(&[u8], HeaderRef)>],
-        want: std::cmp::Ordering,
-    ) -> Option<usize> {
+    /// iterators are drained. Heads carry their key bytes resolved, so one
+    /// merge step costs k−1 slice comparisons and zero off-heap reference
+    /// resolutions.
+    fn pick(cmp: &C, heads: &[Option<Yielded<'_>>], want: std::cmp::Ordering) -> Option<usize> {
         let mut best: Option<(usize, &[u8])> = None;
         for (i, head) in heads.iter().enumerate() {
-            let Some((kb, _)) = head else { continue };
+            let Some(head) = head else { continue };
             match best {
-                None => best = Some((i, kb)),
-                Some((_, bk)) => {
-                    if cmp.compare(kb, bk) == want {
-                        best = Some((i, kb));
-                    }
-                }
+                Some((_, bk)) if cmp.compare(head.key_bytes, bk) != want => {}
+                _ => best = Some((i, head.key_bytes)),
             }
         }
         best.map(|(i, _)| i)

@@ -16,8 +16,11 @@
 //! with a sky-high `rebalance_unsorted_ratio` means a rebalance fires
 //! exactly when an insert fills the 8th entry slot, and only then.
 
-use oak_core::{OakMap, OakMapConfig, OrderedKvMap};
+use std::sync::atomic::AtomicU64;
+
+use oak_core::{KeyComparator, OakMap, OakMapConfig, OrderedKvMap};
 use oak_failpoints::{sync_point, sync_role, sync_scenario, SyncSchedule};
+use oak_linearize::{check_history, History, Recorder, Ret};
 
 fn key(i: usize) -> Vec<u8> {
     format!("k{i:02}").into_bytes()
@@ -545,4 +548,189 @@ fn ascend_reenters_live_chunk_after_split() {
             "entries={entries}: ascending scan missed the reinserted key"
         );
     }
+}
+
+// --- R7 / R8: a reader on a *borrowed* chunk across full reclamation ------
+//
+// A point operation no longer owns the chunk it located: it borrows it
+// under an `oak_sync::epoch` guard, and its quarantine pin borrows the
+// quarantine. These two schedules are the use-after-free regressions for
+// that: a reader locates a chunk, and before it has looked anything up in
+// it a second thread makes that chunk garbage — splits it, so the index
+// entry's box is replaced and the predecessor's `next` is swung past it —
+// and then drives both collectors as hard as it can. The only things
+// still holding the old chunk, the boxes that pointed at it and the key
+// slice of an entry that died in it are the reader's guard and pin.
+//
+// The reader's two stops: `ops/located` (it has its chunk; passing it is
+// what releases the mutator) and the comparator below, which parks it
+// *inside* the in-chunk lookup, on the comparison against the dead key,
+// until the mutator is done. Whatever the reader got done in between, it
+// located before the split began and finishes its lookup — reading the
+// old chunk's entries and the dead key's bytes — after reclamation ran.
+
+/// Bytewise order that announces every comparison of the entry key `k06`.
+/// No prefixes, so every in-chunk comparison is a full one.
+#[derive(Clone)]
+struct ParkOnK06;
+
+impl KeyComparator for ParkOnK06 {
+    fn compare(&self, a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+        if a == b"k06" {
+            sync_point!("test/in-lookup");
+        }
+        a.cmp(b)
+    }
+}
+
+fn fill(i: usize) -> Vec<u8> {
+    format!("k04{}", (b'a' + i as u8) as char).into_bytes()
+}
+
+/// Chain [k00..k03] -> [k04..k07] under [`ParkOnK06`], recorded.
+fn two_chunks(setup: &mut Recorder<'_>) {
+    for i in 0..8 {
+        setup.put(&key(i), b"old"); // 8th insert -> split
+    }
+}
+
+/// What the mutator does once the reader holds its chunk: kill `k06` in
+/// it, split it with four inserts from `fills`, replace `k07`'s value in
+/// the live chunk, then try to reclaim everything. Both collectors must
+/// come up empty-handed: the reader is still there.
+fn retire_the_readers_chunk(
+    map: &OakMap<ParkOnK06>,
+    rec: &mut Recorder<'_>,
+    fills: std::ops::Range<usize>,
+) {
+    rec.remove(&key(6)); // its key slice dies with the chunk
+    for i in fills {
+        rec.put(&fill(i), b"new"); // 4th fill -> split, dead key retired
+    }
+    rec.remove(&key(7));
+    rec.put(&key(7), b"new"); // a fresh header, in the live chunk only
+    for _ in 0..64 {
+        // Every 128th pin of a thread advances the epoch if it can and
+        // destroys what this thread (the splitter) retired.
+        for _ in 0..128 {
+            drop(oak_sync::epoch::pin());
+        }
+        map.drain_quarantine();
+    }
+    assert!(
+        map.stats().quarantine_pending_bytes > 0,
+        "the dead key was reclaimed under the reader's pin"
+    );
+}
+
+/// The reader's side and the verdict, shared by R7 and R8.
+fn check_reader_on_retired_chunk(
+    map: &OakMap<ParkOnK06>,
+    logs: Vec<Vec<oak_linearize::OpRecord>>,
+    session: &oak_failpoints::SyncSession,
+) {
+    assert!(
+        session.completed(),
+        "schedule abandoned; remaining steps: {:?}",
+        session.remaining()
+    );
+    let history = History::merge(logs);
+    // The old chunk's entry for k07 still names the removed header: `None`
+    // is what a lookup in the *retired* chunk returns (the live one says
+    // "new"), and it is linearizable — k07 was absent between the remove
+    // and the put, both concurrent with the get.
+    let got = history.ops.iter().find(|o| o.thread == 2).expect("the get");
+    assert_eq!(got.ret, Ret::Val(None), "the reader did not use its borrow");
+    check_history(&history).expect("history accepted");
+    // With the reader gone everything drains.
+    for _ in 0..1_000 {
+        if map.stats().quarantine_pending_bytes == 0 {
+            break;
+        }
+        map.drain_quarantine();
+    }
+    assert_eq!(map.stats().quarantine_pending_bytes, 0);
+    map.validate();
+}
+
+/// R7 — the chunk was reached through its index entry.
+#[test]
+fn reader_on_borrowed_chunk_survives_split_and_reclamation() {
+    let map = OakMap::with_comparator(config(), ParkOnK06);
+    let clock = AtomicU64::new(0);
+    let mut setup = Recorder::new(&map, &clock, 0);
+    two_chunks(&mut setup);
+
+    let schedule = SyncSchedule::parse(
+        "rdr@ops/located           # the reader borrows [k04..k07] from the index
+         mut@test/go               # split it, swing past it, reclaim
+         mut@test/done
+         rdr@test/in-lookup        # parked on the dead k06 meanwhile",
+    )
+    .unwrap();
+    let session = sync_scenario(schedule);
+
+    let (mutated, read) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let _role = sync_role("rdr");
+            let mut rec = Recorder::new(&map, &clock, 2);
+            rec.get(&key(7));
+            rec.finish()
+        });
+        let _role = sync_role("mut");
+        let mut rec = Recorder::new(&map, &clock, 1);
+        sync_point!("test/go");
+        retire_the_readers_chunk(&map, &mut rec, 0..4);
+        sync_point!("test/done");
+        (rec.finish(), reader.join().unwrap())
+    });
+    check_reader_on_retired_chunk(&map, vec![setup.finish(), mutated, read], &session);
+}
+
+/// R8 — the twin: the chunk was reached by a `next` hop, and it is that
+/// link that is swung.
+///
+/// A first split of [k04..k07] is parked between its two index
+/// publications: [k04, k04a..c] is indexed, its successor [k04d, k05..k07]
+/// is linked but not. The reader's `locate(k07)` therefore floors to the
+/// first half and hops `next` to the second, which the mutator then
+/// splits in turn — swinging the very link the reader came through.
+#[test]
+fn reader_past_a_next_hop_survives_the_swing_of_that_link() {
+    let map = OakMap::with_comparator(config(), ParkOnK06);
+    let clock = AtomicU64::new(0);
+    let mut setup = Recorder::new(&map, &clock, 0);
+    two_chunks(&mut setup);
+
+    let schedule = SyncSchedule::parse(
+        "mut@test/go               # fill [k04..k07]: it splits
+         mut@index/publish         # first half about to be indexed
+         rdr@test/begin
+         rdr@ops/located           # reached the unindexed second half by `next`
+         mut@index/publish         # only now is the second half indexed
+         mut@test/done             # ... split in turn, and reclaimed
+         rdr@test/in-lookup",
+    )
+    .unwrap();
+    let session = sync_scenario(schedule);
+
+    let (mutated, read) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let _role = sync_role("rdr");
+            let mut rec = Recorder::new(&map, &clock, 2);
+            sync_point!("test/begin");
+            rec.get(&key(7));
+            rec.finish()
+        });
+        let _role = sync_role("mut");
+        let mut rec = Recorder::new(&map, &clock, 1);
+        sync_point!("test/go");
+        for i in 0..4 {
+            rec.put(&fill(i), b"new"); // 4th fill -> the parked split
+        }
+        retire_the_readers_chunk(&map, &mut rec, 4..8);
+        sync_point!("test/done");
+        (rec.finish(), reader.join().unwrap())
+    });
+    check_reader_on_retired_chunk(&map, vec![setup.finish(), mutated, read], &session);
 }

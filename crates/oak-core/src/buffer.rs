@@ -14,7 +14,7 @@ use std::sync::Arc;
 use oak_mempool::{HeaderRef, MemoryPool, SliceRef, ValueStore};
 
 use crate::error::OakError;
-use crate::reclaim::EpochPin;
+use crate::reclaim::CursorPin;
 
 /// Read-only zero-copy view of a key or value in Oak's off-heap memory.
 pub struct OakRBuffer {
@@ -28,14 +28,14 @@ enum Kind {
     Key {
         pool: Arc<MemoryPool>,
         r: SliceRef,
-        _pin: Arc<EpochPin>,
+        _pin: Arc<CursorPin>,
     },
     /// Values are read under the header read lock and fail once deleted.
     Value { store: ValueStore, h: HeaderRef },
 }
 
 impl OakRBuffer {
-    pub(crate) fn key(pool: Arc<MemoryPool>, r: SliceRef, pin: Arc<EpochPin>) -> Self {
+    pub(crate) fn key(pool: Arc<MemoryPool>, r: SliceRef, pin: Arc<CursorPin>) -> Self {
         OakRBuffer {
             inner: Kind::Key { pool, r, _pin: pin },
         }

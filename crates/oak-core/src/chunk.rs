@@ -35,6 +35,7 @@
 //! | `sync` (pub/freeze) | AcqRel / Acquire   | handshake: `unpublish`'s AcqRel decrement synchronizes every completed mutation with the freezer's Acquire drain loop — this is what makes frozen entries stable for copying, NOT the cursor below |
 //! | `alloc_cursor`      | Relaxed            | pure index reservation / monotone accounting: the fetch-add precedes the entry-field writes, so no ordering on it could ever publish them; readers of `allocated()` only gate heuristics (`needs_reorg`) or scan entries whose own `key` loads synchronize |
 //! | `live_hint`         | Relaxed            | monotone merge heuristic, tolerates drift by design |
+//! | `next` (chunk list) | Acquire load under an `oak_sync::epoch` guard, AcqRel CAS, deferred destroy | an epoch-protected box holding the successor's `Arc`, like the index's first-chunk pointer, not a lock: a reader pins, Acquire-loads the box and *borrows* the `Arc` inside it for the guard's lifetime — no lock word, no reference count, nothing written. `set_next`/`swing_next` install a fresh box with an AcqRel CAS (Release publishes the successor built before it, Acquire orders the swing after the box it read) and hand the old box to the collector, which destroys it — dropping its `Arc` — only after every guard that could have loaded it is released |
 //! | `revision`          | Relaxed            | Jiffy-style change stamp for batch scans: bumped at freeze and replacement publication, compared once per drained batch. A missed bump only delays the scan's index re-location by one hop — hopping through a replaced chunk's `next`/replacement chain is independently §1.1-correct — so the stamp is a staleness *hint* and needs no ordering; the `replacement` `OnceLock` carries its own synchronization |
 //!
 //! Pool statistics (`oak_mempool::stats::Counters`) and the reclamation
@@ -48,7 +49,8 @@ use std::cmp::Ordering as KeyOrder;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use oak_sync::{Mutex, RwLock};
+use oak_sync::epoch::{self, Atomic, Guard, Owned, Pointer, Shared};
+use oak_sync::Mutex;
 
 use oak_mempool::{HeaderRef, MemoryPool, SliceRef};
 
@@ -227,8 +229,10 @@ pub(crate) struct Chunk {
     /// and only ever set to entries that are linked (linked entries never
     /// leave the list until the chunk is replaced).
     link_hint: AtomicU32,
-    /// Next chunk in the chunk list.
-    next: RwLock<Option<Arc<Chunk>>>,
+    /// Next chunk in the chunk list (null for the tail): an
+    /// epoch-protected box, so list walks write nothing — see the ordering
+    /// table.
+    next: Atomic<Arc<Chunk>>,
     /// Jiffy-style revision stamp: advanced when the chunk stops being a
     /// safe resting point for a batch scan (freeze, replacement
     /// publication). Batch cursors record it once per chunk snapshot and
@@ -257,7 +261,7 @@ impl Chunk {
             live_hint: AtomicU32::new(0),
             link_hint: AtomicU32::new(NONE),
             revision: AtomicU64::new(0),
-            next: RwLock::new(None),
+            next: Atomic::null(),
             replacement: OnceLock::new(),
             rebalance_lock: Mutex::new(()),
         }
@@ -421,25 +425,76 @@ impl Chunk {
 
     // --- chunk list -------------------------------------------------------
 
+    /// The successor, lent for the guard's lifetime: no reference count
+    /// moves. The box the link pointed at when it was loaded — and so the
+    /// `Arc` in it, and so the successor — outlives every guard pinned
+    /// before the box was swung out.
+    #[inline]
+    pub(crate) fn next_ref<'g>(&self, guard: &'g Guard) -> Option<&'g Arc<Chunk>> {
+        // SAFETY: a non-null `next` points at a box that `install_next`
+        // retires through the collector, never frees in place; `Drop` frees
+        // it only once no reference to this chunk is left.
+        unsafe { self.next.load(Ordering::Acquire, guard).as_ref() }
+    }
+
+    /// The successor, owned (cursors, rebalance, whole-map walks).
     pub(crate) fn next_chunk(&self) -> Option<Arc<Chunk>> {
-        self.next.read().clone()
+        self.next_ref(&epoch::pin()).cloned()
     }
 
     pub(crate) fn set_next(&self, next: Option<Arc<Chunk>>) {
-        *self.next.write() = next;
+        let guard = epoch::pin();
+        let mut cur = self.next.load(Ordering::Acquire, &guard);
+        loop {
+            let installed = match &next {
+                Some(n) => self.install_next(cur, Owned::new(n.clone()), &guard),
+                None => self.install_next(cur, Shared::null(), &guard),
+            };
+            match installed {
+                Ok(()) => return,
+                Err(now) => cur = now,
+            }
+        }
     }
 
     /// CAS-like guarded update of `next`: only swings the pointer if it
     /// still refers to `expect`. Returns success.
     pub(crate) fn swing_next(&self, expect: &Arc<Chunk>, to: Arc<Chunk>) -> bool {
-        let mut g = self.next.write();
-        match &*g {
-            Some(cur) if Arc::ptr_eq(cur, expect) => {
-                *g = Some(to);
-                true
+        let guard = epoch::pin();
+        let mut cur = self.next.load(Ordering::Acquire, &guard);
+        loop {
+            // A box is installed once and never reused while a guard that
+            // saw it is live, so a CAS from `cur` succeeding proves the
+            // link held `expect` all along.
+            // SAFETY: see `next_ref`.
+            if !unsafe { cur.as_ref() }.is_some_and(|c| Arc::ptr_eq(c, expect)) {
+                return false;
             }
-            _ => false,
+            match self.install_next(cur, Owned::new(to.clone()), &guard) {
+                Ok(()) => return true,
+                Err(now) => cur = now,
+            }
         }
+    }
+
+    /// Replaces the box `cur` with `new` (a fresh box, or null) and retires
+    /// `cur`; on a lost race returns what the link holds now.
+    fn install_next<'g>(
+        &self,
+        cur: Shared<'g, Arc<Chunk>>,
+        new: impl Pointer<Arc<Chunk>>,
+        guard: &'g Guard,
+    ) -> Result<(), Shared<'g, Arc<Chunk>>> {
+        self.next
+            .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire, guard)
+            .map_err(|e| e.current)?;
+        if !cur.is_null() {
+            // SAFETY: the CAS just unlinked `cur`, so no later pin can
+            // reach it and this is its only retirement; guards pinned
+            // before keep it alive until they drop.
+            unsafe { guard.defer_destroy(cur) };
+        }
+        Ok(())
     }
 
     pub(crate) fn replacement(&self) -> Option<&Arc<Chunk>> {
@@ -982,6 +1037,20 @@ impl Chunk {
     }
 }
 
+impl Drop for Chunk {
+    fn drop(&mut self) {
+        // SAFETY: the last reference to this chunk is gone, and a reader
+        // borrows a chunk only through a link that holds one (`next_ref`),
+        // so nobody can be reading `next` any more: free its box in place.
+        unsafe {
+            let last = self.next.load(Ordering::Relaxed, epoch::unprotected());
+            if !last.is_null() {
+                drop(last.into_owned());
+            }
+        }
+    }
+}
+
 impl std::fmt::Debug for Chunk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Chunk")
@@ -1255,6 +1324,125 @@ mod tests {
         c.unpublish();
         t.join().unwrap();
         assert!(froze.load(Ordering::SeqCst));
+    }
+
+    // --- the `next` link ---------------------------------------------------
+    //
+    // The collector is global to the process and the tests run on parallel
+    // threads, so another test's pin can delay a destruction here, never
+    // make one early: "is destroyed" is checked by retrying, "is not
+    // destroyed" after a fixed amount of collector churn.
+
+    fn link(min_key: &[u8]) -> Arc<Chunk> {
+        Arc::new(Chunk::new_empty(4, min_key.into()))
+    }
+
+    /// Pins and unpins: every 128th pin of a thread makes the collector try
+    /// to advance the epoch and destroy what this thread retired.
+    fn churn_collector(pins: usize) {
+        for _ in 0..pins {
+            drop(epoch::pin());
+        }
+    }
+
+    fn destroyed_eventually(alive: &std::sync::Weak<Chunk>) -> bool {
+        for _ in 0..2_000 {
+            if alive.strong_count() == 0 {
+                return true;
+            }
+            churn_collector(128);
+        }
+        false
+    }
+
+    #[test]
+    fn swing_next_refuses_a_mismatched_expect() {
+        let (a, b, c, d) = (link(b""), link(b"b"), link(b"c"), link(b"d"));
+        a.set_next(Some(b.clone()));
+        assert!(!a.swing_next(&c, d.clone()), "the link holds b, not c");
+        assert!(Arc::ptr_eq(&a.next_chunk().expect("linked"), &b));
+        assert!(a.swing_next(&b, c.clone()));
+        assert!(Arc::ptr_eq(&a.next_chunk().expect("linked"), &c));
+        assert!(!a.swing_next(&b, d.clone()), "b was swung out");
+        assert!(!c.swing_next(&b, d), "a tail has nothing to swing from");
+        assert!(c.next_chunk().is_none());
+    }
+
+    #[test]
+    fn set_next_none_on_a_tail_and_on_a_link() {
+        let a = link(b"");
+        a.set_next(None);
+        assert!(a.next_chunk().is_none());
+        let b = link(b"b");
+        let b_alive = Arc::downgrade(&b);
+        a.set_next(Some(b)); // the link's box holds the only reference
+        assert_eq!(b_alive.strong_count(), 1);
+        a.set_next(None);
+        assert!(a.next_chunk().is_none());
+        assert!(destroyed_eventually(&b_alive), "the unlinked box leaked");
+    }
+
+    #[test]
+    fn racing_swings_have_exactly_one_winner() {
+        for _ in 0..if cfg!(miri) { 10 } else { 300 } {
+            let (a, b) = (link(b""), link(b"b"));
+            a.set_next(Some(b.clone()));
+            let mine = [link(b"c"), link(b"d")];
+            let start = std::sync::Barrier::new(2);
+            let won: Vec<bool> = std::thread::scope(|s| {
+                let racers: Vec<_> = mine
+                    .iter()
+                    .map(|to| {
+                        s.spawn(|| {
+                            start.wait();
+                            a.swing_next(&b, to.clone())
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert_eq!(won.iter().filter(|w| **w).count(), 1, "{won:?}");
+            let winner = &mine[won.iter().position(|w| *w).expect("one winner")];
+            assert!(Arc::ptr_eq(&a.next_chunk().expect("linked"), winner));
+        }
+    }
+
+    /// The successor's only strong reference lives in the link's box, so
+    /// its `Weak` count is a drop counter for that box: it must stay 1
+    /// while a guard pinned across the swing still borrows through it, and
+    /// reach 0 — once, or the box would be freed twice — after.
+    #[test]
+    fn a_swung_out_link_outlives_guards_pinned_across_the_swing() {
+        use std::sync::mpsc;
+
+        let a = link(b"");
+        let b = link(b"b");
+        let b_alive = Arc::downgrade(&b);
+        a.set_next(Some(b));
+        let (pinned_tx, pinned_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let a = &a;
+        std::thread::scope(|s| {
+            let reader = s.spawn(move || {
+                let guard = epoch::pin();
+                let lent = a.next_ref(&guard).expect("linked");
+                pinned_tx.send(()).expect("main is waiting");
+                release_rx.recv().expect("main releases the reader");
+                // Still readable: neither the box nor the chunk is gone.
+                assert_eq!(&*lent.min_key, b"b");
+            });
+            pinned_rx.recv().expect("reader pinned");
+
+            let expect = b_alive.upgrade().expect("held by the link");
+            assert!(a.swing_next(&expect, link(b"c")));
+            drop(expect);
+            churn_collector(if cfg!(miri) { 1_024 } else { 20_000 });
+            assert_eq!(b_alive.strong_count(), 1, "destroyed under a live guard");
+
+            release_tx.send(()).expect("reader is waiting");
+            reader.join().expect("reader thread");
+        });
+        assert!(destroyed_eventually(&b_alive), "never destroyed");
     }
 
     #[test]

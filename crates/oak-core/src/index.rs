@@ -10,11 +10,32 @@
 //! Everything outside this module goes through the handful of methods
 //! below; no other code touches the underlying skiplist or the first
 //! pointer directly.
+//!
+//! ## Borrowed location
+//!
+//! [`locate`](ChunkIndex::locate) *lends* the chunk it finds for the
+//! lifetime of the caller's `oak_sync::epoch` guard instead of handing out
+//! an `Arc`: no reference count moves anywhere on the walk. Every link the
+//! walk follows keeps its target alive for at least that long —
+//!
+//! * an index entry: the skiplist node's value box holds the `Arc`, and a
+//!   removed node or replaced box is destroyed only after every guard that
+//!   could have reached it is released;
+//! * the first pointer and a chunk's `next`: epoch-protected boxes holding
+//!   an `Arc`, retired through the same collector when swung;
+//! * `replacement()`: a `OnceLock` inside the replaced chunk, set once and
+//!   never cleared, so it lives exactly as long as the chunk that was
+//!   itself reached through one of these links.
+//!
+//! What the caller must not do is *stay* under the guard: anything that
+//! sleeps, waits for a lock, rebalances or reclaims first clones the `Arc`
+//! out of the borrow and drops the guard (the borrow checker enforces the
+//! order: the borrow dies with the guard).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use oak_sync::epoch::{self, Atomic, Owned};
+use oak_sync::epoch::{self, Atomic, Guard, Owned};
 
 use oak_skiplist::SkipListMap;
 
@@ -32,9 +53,9 @@ pub(crate) struct ChunkIndex<C: KeyComparator> {
     /// Epoch-protected atomic box rather than a lock: a map whose keys all
     /// fit in one chunk (small shards especially) funnels *every* lookup
     /// through this pointer, and even a read-mostly `RwLock` bounces its
-    /// lock word between reader cores. Readers pin, load, and bump the
-    /// `Arc` — no shared write other than the refcount. Swings CAS the box
-    /// and defer freeing it past all current pins.
+    /// lock word between reader cores. Readers pin, load, and borrow the
+    /// `Arc` — no shared write at all. Swings CAS the box and defer
+    /// freeing it past all current pins.
     first: Atomic<Arc<Chunk>>,
 }
 
@@ -47,80 +68,77 @@ impl<C: KeyComparator> ChunkIndex<C> {
         }
     }
 
-    /// The current first chunk, *without* resolving replacement chains.
-    /// Used as the fallback starting point for list walks.
-    pub(crate) fn first_raw(&self) -> Arc<Chunk> {
-        let guard = epoch::pin();
-        let shared = self.first.load(Ordering::Acquire, &guard);
+    /// The current first chunk, *without* resolving replacement chains,
+    /// lent for the guard's lifetime.
+    fn first_ref<'g>(&self, guard: &'g Guard) -> &'g Arc<Chunk> {
         // SAFETY: `first` is non-null from construction to drop, and a
         // swung-out box is only destroyed after every pin that could have
         // observed it is released.
-        unsafe { shared.deref() }.clone()
+        unsafe { self.first.load(Ordering::Acquire, guard).deref() }
+    }
+
+    /// The current first chunk, *without* resolving replacement chains.
+    /// Used as the fallback starting point for list walks.
+    pub(crate) fn first_raw(&self) -> Arc<Chunk> {
+        self.first_ref(&epoch::pin()).clone()
     }
 
     /// The current first chunk, with replacement chains resolved.
     pub(crate) fn first_resolved(&self) -> Arc<Chunk> {
-        let mut c = self.first_raw();
+        let guard = epoch::pin();
+        let mut c = self.first_ref(&guard);
         while let Some(r) = c.replacement() {
-            c = r.clone();
+            c = r;
         }
-        c
+        c.clone()
+    }
+
+    /// The walk behind [`locate`](Self::locate) and
+    /// [`floor_before`](Self::floor_before): from the last index entry
+    /// whose `minKey` is `below` the target (the first chunk when there is
+    /// none), resolve replacement chains and follow `next` while the
+    /// successor's `minKey` is still `below` it. Borrows only (see the
+    /// module docs).
+    fn walk<'g>(&self, below: impl Fn(&[u8]) -> bool, guard: &'g Guard) -> &'g Arc<Chunk> {
+        // Probe the index with the raw key bytes (no per-lookup allocation).
+        let mut c = match self.minkeys.floor_by(|mk| below(&mk.bytes), guard) {
+            Some((_, c)) => c,
+            None => self.first_ref(guard),
+        };
+        loop {
+            while let Some(r) = c.replacement() {
+                c = r;
+            }
+            match c.next_ref(guard) {
+                Some(n) if below(&n.min_key) => c = n,
+                // Replaced while we looked at `next`: resolve again.
+                _ if c.replacement().is_some() => {}
+                _ => return c,
+            }
+        }
     }
 
     /// `locateChunk(key)` (§3.1): index floor plus chunk-list walk, with
     /// replacement chains resolved so callers always land on a live (or at
-    /// worst freshly frozen) chunk covering `key`.
-    pub(crate) fn locate(&self, key: &[u8]) -> Arc<Chunk> {
-        // Probe the index with the raw key bytes (no per-lookup allocation).
-        let mut c = self
-            .minkeys
-            .floor_by(
-                |mk| self.cmp.compare(&mk.bytes, key) != std::cmp::Ordering::Greater,
-                |_, v| v.clone(),
-            )
-            .unwrap_or_else(|| self.first_raw());
-        loop {
-            while let Some(r) = c.replacement() {
-                c = r.clone();
-            }
-            match c.next_chunk() {
-                Some(n) if self.cmp.compare(&n.min_key, key) != std::cmp::Ordering::Greater => {
-                    c = n;
-                }
-                _ => {
-                    if c.replacement().is_some() {
-                        continue; // replaced while we looked at next
-                    }
-                    return c;
-                }
-            }
-        }
+    /// worst freshly frozen) chunk covering `key`. The chunk is lent for
+    /// the guard's lifetime.
+    #[inline]
+    pub(crate) fn locate<'g>(&self, key: &[u8], guard: &'g Guard) -> &'g Arc<Chunk> {
+        self.walk(
+            |min_key| self.cmp.compare(min_key, key) != std::cmp::Ordering::Greater,
+            guard,
+        )
     }
 
     /// The chunk with the greatest `minKey` strictly smaller than
     /// `min_key`, list-walked forward to the immediate predecessor (the
     /// descending scan's index query, §4.2). `min_key` must be non-empty.
     pub(crate) fn floor_before(&self, min_key: &[u8]) -> Arc<Chunk> {
-        let mut prev = match self.minkeys.floor_by(
-            |mk| self.cmp.compare(&mk.bytes, min_key) == std::cmp::Ordering::Less,
-            |_, v| v.clone(),
-        ) {
-            Some(p) => p,
-            None => self.first_raw(),
-        };
-        loop {
-            while let Some(r) = prev.replacement() {
-                prev = r.clone();
-            }
-            // Walk forward while still strictly below the old minKey.
-            match prev.next_chunk() {
-                Some(n) if self.cmp.compare(&n.min_key, min_key) == std::cmp::Ordering::Less => {
-                    prev = n;
-                }
-                _ => break,
-            }
-        }
-        prev
+        self.walk(
+            |mk| self.cmp.compare(mk, min_key) == std::cmp::Ordering::Less,
+            &epoch::pin(),
+        )
+        .clone()
     }
 
     /// Publishes a rebalance-produced chunk boundary. No-op for the
@@ -161,14 +179,14 @@ impl<C: KeyComparator> ChunkIndex<C> {
         let mut new_box = Owned::new(new_head);
         loop {
             let shared = self.first.load(Ordering::Acquire, &guard);
-            // SAFETY: see `first_raw`.
-            let mut cur = unsafe { shared.deref() }.clone();
+            // SAFETY: see `first_ref`.
+            let mut cur = unsafe { shared.deref() };
             let leads_to_old = loop {
-                if Arc::ptr_eq(&cur, old) {
+                if Arc::ptr_eq(cur, old) {
                     break true;
                 }
                 match cur.replacement() {
-                    Some(r) => cur = r.clone(),
+                    Some(r) => cur = r,
                     None => break false,
                 }
             };

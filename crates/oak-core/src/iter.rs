@@ -71,7 +71,7 @@ use crate::buffer::OakRBuffer;
 use crate::chunk::{BatchEntry, Chunk, NONE};
 use crate::cmp::KeyComparator;
 use crate::map::OakMap;
-use crate::reclaim::EpochPin;
+use crate::reclaim::CursorPin;
 
 /// Most entries one batch fill snapshots. Bounds the reusable buffer (and
 /// the staleness window of a snapshot) while still amortizing the
@@ -390,7 +390,7 @@ pub(crate) struct AscendCursor<'a, C: KeyComparator> {
     /// slices (including `last_key` and everything parked in `batch`)
     /// cannot be quarantine-freed while the cursor lives. Shared into
     /// yielded key buffers.
-    pin: Arc<EpochPin>,
+    pin: Arc<CursorPin>,
     /// Batch mode on (`OakMapConfig::batch_scan`)?
     batch_mode: bool,
     /// Next undrained element of `batch`.
@@ -417,7 +417,7 @@ impl<'a, C: KeyComparator> AscendCursor<'a, C> {
     fn with_mode(map: &'a OakMap<C>, lo: Option<&[u8]>, hi: Option<&[u8]>, leased: bool) -> Self {
         // Pin *before* locating: the safety argument needs the
         // unreplaced-observation of every entered chunk to happen pinned.
-        let pin = Arc::new(map.reclaim.pin());
+        let pin = Arc::new(map.reclaim.pin_owned());
         let mut cursor = AscendCursor {
             map,
             chunk: None,
@@ -737,7 +737,7 @@ pub struct DescendIter<'a, C: KeyComparator> {
     pending: Option<Yielded<'a>>,
     done: bool,
     /// Lifetime epoch pin (see [`AscendCursor::pin`]).
-    pin: Arc<EpochPin>,
+    pin: Arc<CursorPin>,
     /// Batch mode on (`OakMapConfig::batch_scan`)?
     batch_mode: bool,
     /// Elements of `batch` not yet drained (drain position counts down).
@@ -768,7 +768,7 @@ impl<'a, C: KeyComparator> DescendIter<'a, C> {
     }
 
     fn with_mode(map: &'a OakMap<C>, from: Option<&[u8]>, lo: Option<&[u8]>, leased: bool) -> Self {
-        let pin = Arc::new(map.reclaim.pin());
+        let pin = Arc::new(map.reclaim.pin_owned());
         let mut it = DescendIter {
             map,
             chunk: None,

@@ -115,6 +115,9 @@ pub const SYNC_SITES: &[&str] = &[
     "value/put",
     "value/compute",
     "value/remove",
+    // A point operation holding its located chunk borrowed, before the
+    // in-chunk lookup (every op's `locateChunk` → `lookUp` boundary).
+    "ops/located",
     // Remove marked deleted but not yet finalized (Algorithm 3 line 48→).
     "ops/remove-marked",
     // Rebalance: engage, freeze, list splice, replacement publication.

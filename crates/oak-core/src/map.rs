@@ -319,9 +319,11 @@ impl<C: KeyComparator> OakMap<C> {
         self.index.first_resolved()
     }
 
-    /// `locateChunk(key)` (§3.1), delegated to the chunk index.
+    /// `locateChunk(key)` (§3.1) for callers that keep the chunk (cursors):
+    /// an owned reference. Point operations borrow through
+    /// [`ChunkIndex::locate`] instead.
     pub(crate) fn locate_chunk(&self, key: &[u8]) -> Arc<Chunk> {
-        self.index.locate(key)
+        self.index.locate(key, &oak_sync::epoch::pin()).clone()
     }
 
     // --- scans (bodies in `iter`) ----------------------------------------

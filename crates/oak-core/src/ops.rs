@@ -14,20 +14,35 @@
 //! transient failures (header-lock contention, injected faults). The
 //! unbudgeted entry points pass [`OpBudget::unbounded`]: no deadline,
 //! retry immediately and forever.
+//!
+//! Every attempt opens the same way and writes no cache line another
+//! thread uses on its way to the value: a *borrowed* quarantine pin (the
+//! thread's own stripe, [`reclaim`](crate::reclaim)), then an
+//! `oak_sync::epoch` guard under which [`ChunkIndex::locate`] *lends* the
+//! chunk — no reference count moves ([`index`](crate::index), "Borrowed
+//! location"). The pin comes first: the quarantine's safety argument needs
+//! every chunk to be observed unreplaced while pinned. Whatever may sleep,
+//! wait for a lock again, rebalance or reclaim runs outside the guard:
+//! those paths clone the chunk out of the borrow and give the guard up
+//! first ([`OakMap::rebalance_borrowed`], `recover_or_err`).
+//!
+//! [`ChunkIndex::locate`]: crate::index::ChunkIndex::locate
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-use oak_mempool::{AccessError, AllocError, ContendedInfo, SliceRef};
+use oak_mempool::{AccessError, AllocError, ContendedInfo, HeaderRef, SliceRef};
+use oak_sync::epoch::{self, Guard};
 
 use crate::budget::{OpBudget, RetryState};
 use crate::buffer::{OakRBuffer, OakWBuffer};
-use crate::chunk::LinkOutcome;
+use crate::chunk::{Chunk, LinkOutcome};
 use crate::cmp::KeyComparator;
 use crate::error::OakError;
 use crate::map::OakMap;
 use crate::overload::OverloadState;
-use crate::reclaim::EpochPin;
+use crate::reclaim::OpPin;
 
 /// Emergency-reclamation retries per operation: one allocation failure may
 /// be recovered per allocation site an operation has (key + value).
@@ -55,8 +70,56 @@ enum PresentOp<'f> {
     RemoveReturning(&'f mut Option<Vec<u8>>),
 }
 
+/// What one attempt of an update holds while it reads chunks: its
+/// quarantine pin and the guard its chunk is borrowed under — taken in that
+/// order, released in the reverse.
+struct Attempt<'m> {
+    guard: Guard,
+    _pin: OpPin<'m>,
+}
+
 impl<C: KeyComparator> OakMap<C> {
+    #[inline]
+    fn attempt(&self) -> Attempt<'_> {
+        let _pin = self.reclaim.pin();
+        Attempt {
+            guard: epoch::pin(),
+            _pin,
+        }
+    }
+
+    /// `locateChunk(key)` for a point operation: the chunk is lent for the
+    /// guard's lifetime. The caller holds its quarantine pin already.
+    #[inline(always)]
+    fn locate<'g>(&self, key: &[u8], guard: &'g Guard) -> &'g Arc<Chunk> {
+        let c = self.index.locate(key, guard);
+        oak_failpoints::sync_point!("ops/located");
+        c
+    }
+
+    /// Rebalances a chunk an operation holds borrowed: `c` is the clone
+    /// taken from the borrow, `guard` the guard it was borrowed under,
+    /// given up before the rebalance may wait, freeze or reclaim. Returns
+    /// `false` when the engage wait outlasted `deadline`.
+    fn rebalance_borrowed(&self, c: Arc<Chunk>, guard: Guard, deadline: Option<Instant>) -> bool {
+        drop(guard);
+        self.rebalance_until(&c, deadline)
+    }
+
     // --- queries (Algorithm 1) -------------------------------------------
+
+    /// The prologue both gets share: the reference of the value mapped to
+    /// `key`, `None` for no entry or ⊥. The chunk borrow ends here — a
+    /// value header outlives its chunk — so the header-lock wait and the
+    /// caller's closure run outside the guard. The caller holds its
+    /// quarantine pin.
+    #[inline(always)]
+    fn value_of(&self, key: &[u8]) -> Option<HeaderRef> {
+        let guard = epoch::pin();
+        let c = self.locate(key, &guard);
+        let ei = c.lookup(self.pool(), &self.cmp, key)?;
+        c.value_ref(ei)
+    }
 
     /// Algorithm 1's `get`: applies `f` to the value bytes under the header
     /// read lock, waiting for that lock until `deadline` at most. `Ok(None)`
@@ -71,11 +134,7 @@ impl<C: KeyComparator> OakMap<C> {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<Option<R>, ContendedInfo> {
         let _pin = self.reclaim.pin();
-        let c = self.index.locate(key);
-        let Some(ei) = c.lookup(self.pool(), &self.cmp, key) else {
-            return Ok(None);
-        };
-        let Some(h) = c.value_ref(ei) else {
+        let Some(h) = self.value_of(key) else {
             return Ok(None);
         };
         match self.store.read_at(h, deadline, f) {
@@ -116,9 +175,7 @@ impl<C: KeyComparator> OakMap<C> {
     /// [`OakError::ConcurrentModification`] after a concurrent remove.
     pub fn get(&self, key: &[u8]) -> Option<OakRBuffer> {
         let _pin = self.reclaim.pin();
-        let c = self.index.locate(key);
-        let ei = c.lookup(self.pool(), &self.cmp, key)?;
-        let h = c.value_ref(ei)?;
+        let h = self.value_of(key)?;
         if self.store.is_deleted(h) {
             return None;
         }
@@ -235,8 +292,8 @@ impl<C: KeyComparator> OakMap<C> {
             budget.check(self.pool())?;
             // Per-iteration epoch pin: quarantined keys of chunks this
             // iteration may walk stay mapped and stable until it ends.
-            let pin = self.reclaim.pin();
-            let c = self.index.locate(key);
+            let at = self.attempt();
+            let c = self.locate(key, &at.guard);
             let ei = c.lookup(self.pool(), &self.cmp, key);
 
             if let Some(ei) = ei {
@@ -267,7 +324,7 @@ impl<C: KeyComparator> OakMap<C> {
                             Ok(true) => return Ok(false),
                             Ok(false) => continue,
                             Err(e) => {
-                                self.recover_or_err(e, &mut oom_budget, &mut retry, budget, pin)?;
+                                self.recover_or_err(e, &mut oom_budget, &mut retry, budget, at)?;
                                 continue;
                             }
                         }
@@ -276,7 +333,7 @@ impl<C: KeyComparator> OakMap<C> {
                     // remover finish (mirrors Algorithm 3 case 2, avoiding
                     // a blocking wait on finalizeRemove) and retry.
                     if !c.publish() {
-                        self.rebalance_until(&c, budget.deadline);
+                        self.rebalance_borrowed(c.clone(), at.guard, budget.deadline);
                         continue;
                     }
                     c.cas_value(ei, h.to_raw(), 0);
@@ -291,13 +348,13 @@ impl<C: KeyComparator> OakMap<C> {
                 Some(existing) => existing,
                 None => {
                     if c.is_frozen() {
-                        self.rebalance_until(&c, budget.deadline);
+                        self.rebalance_borrowed(c.clone(), at.guard, budget.deadline);
                         continue;
                     }
                     let kref = match self.allocate_key(key) {
                         Ok(r) => r,
                         Err(e) => {
-                            self.recover_or_err(e, &mut oom_budget, &mut retry, budget, pin)?;
+                            self.recover_or_err(e, &mut oom_budget, &mut retry, budget, at)?;
                             continue;
                         }
                     };
@@ -305,7 +362,7 @@ impl<C: KeyComparator> OakMap<C> {
                         // Chunk full: free the speculative key, rebalance,
                         // retry (Algorithm 2 line 31).
                         self.pool().free(kref);
-                        self.rebalance_until(&c, budget.deadline);
+                        self.rebalance_borrowed(c.clone(), at.guard, budget.deadline);
                         continue;
                     };
                     match c.ll_put_if_absent(self.pool(), &self.cmp, new_ei) {
@@ -318,7 +375,7 @@ impl<C: KeyComparator> OakMap<C> {
                         }
                         LinkOutcome::Frozen => {
                             self.pool().free(kref);
-                            self.rebalance_until(&c, budget.deadline);
+                            self.rebalance_borrowed(c.clone(), at.guard, budget.deadline);
                             continue;
                         }
                     }
@@ -335,13 +392,13 @@ impl<C: KeyComparator> OakMap<C> {
             let newh = match self.store.allocate_value(value) {
                 Ok(h) => h,
                 Err(e) => {
-                    self.recover_or_err(e.into(), &mut oom_budget, &mut retry, budget, pin)?;
+                    self.recover_or_err(e.into(), &mut oom_budget, &mut retry, budget, at)?;
                     continue;
                 }
             };
             if !c.publish() {
                 self.undo_value(newh);
-                self.rebalance_until(&c, budget.deadline);
+                self.rebalance_borrowed(c.clone(), at.guard, budget.deadline);
                 continue;
             }
             let ok = c.cas_value(ei, 0, newh.to_raw());
@@ -350,7 +407,13 @@ impl<C: KeyComparator> OakMap<C> {
                 // l.p. of a fresh insertion: the successful CAS (§4.5).
                 self.len.fetch_add(1, Ordering::Relaxed);
                 c.note_insert();
-                self.maybe_reorg(&c);
+                // The paper's reorganization policy (§5.1): rebalance a
+                // chunk that outgrew its sorted prefix, or is full.
+                if c.needs_reorg(self.config.rebalance_unsorted_ratio)
+                    || c.allocated() >= c.capacity()
+                {
+                    self.rebalance_borrowed(c.clone(), at.guard, None);
+                }
                 return Ok(true);
             }
             // CAS failed: a concurrent insertion or removal got there
@@ -369,7 +432,7 @@ impl<C: KeyComparator> OakMap<C> {
     /// deleted; `Err`: write lock lost within the wait budget).
     fn compute_guarded(
         &self,
-        h: oak_mempool::HeaderRef,
+        h: HeaderRef,
         f: &dyn Fn(&mut OakWBuffer<'_>),
         deadline: Option<Instant>,
     ) -> Result<bool, ContendedInfo> {
@@ -386,7 +449,7 @@ impl<C: KeyComparator> OakMap<C> {
     }
 
     /// Reclaims a speculative value allocation that was never published.
-    fn undo_value(&self, h: oak_mempool::HeaderRef) {
+    fn undo_value(&self, h: HeaderRef) {
         // Marks deleted and frees the payload; the 16-byte header is
         // retained, consistent with the default memory manager (§3.3).
         // The header is unpublished, so the lock is uncontended by
@@ -421,18 +484,20 @@ impl<C: KeyComparator> OakMap<C> {
     /// * Anything else propagates unchanged.
     ///
     /// The operation has had no effect when an error surfaces and the map
-    /// stays fully consistent. Consumes the caller's epoch pin:
-    /// reclamation (and backoff sleeps) must run unpinned or they could
-    /// stall the reclamation of slices retired during this very operation.
+    /// stays fully consistent. Consumes the attempt — its quarantine pin and
+    /// the guard its chunk was borrowed under: reclamation (and backoff
+    /// sleeps) must run unpinned or they could stall the reclamation of
+    /// slices — and of index nodes and chunk links — retired during this
+    /// very operation.
     fn recover_or_err(
         &self,
         e: OakError,
         oom_budget: &mut u32,
         retry: &mut RetryState,
         budget: &OpBudget,
-        pin: EpochPin,
+        at: Attempt<'_>,
     ) -> Result<(), OakError> {
-        drop(pin);
+        drop(at);
         match e {
             OakError::Contended(info) => {
                 // A budget that neither expires nor counts retries waits
@@ -511,24 +576,6 @@ impl<C: KeyComparator> OakMap<C> {
         self.reclaim.drain_now();
     }
 
-    /// Triggers a rebalance if the chunk outgrew its sorted prefix
-    /// (the paper's reorganization policy, §5.1).
-    fn maybe_reorg(&self, c: &std::sync::Arc<crate::chunk::Chunk>) {
-        if c.needs_reorg(self.config.rebalance_unsorted_ratio) || c.allocated() >= c.capacity() {
-            self.rebalance(c);
-        }
-    }
-
-    /// Merge policy trigger: when a removal leaves the chunk empty (by the
-    /// live-entry heuristic) and it has a successor, rebalance it — the
-    /// rebalancer will fold it into its neighbour ("merges chunks when they
-    /// are under-used", §4.1).
-    fn maybe_merge(&self, c: &std::sync::Arc<crate::chunk::Chunk>) {
-        if c.note_remove() == 0 && !c.is_frozen() && c.next_chunk().is_some() {
-            self.rebalance(c);
-        }
-    }
-
     // --- non-insertion operations (Algorithm 3) ----------------------------
 
     /// Atomically applies `f` to the value mapped to `key`, in place, under
@@ -586,8 +633,8 @@ impl<C: KeyComparator> OakMap<C> {
         let mut retry = RetryState::new(key.as_ptr() as u64);
         loop {
             budget.check(self.pool())?;
-            let pin = self.reclaim.pin();
-            let c = self.index.locate(key);
+            let at = self.attempt();
+            let c = self.locate(key, &at.guard);
             let ei = c.lookup(self.pool(), &self.cmp, key);
             let Some(ei) = ei else {
                 return Ok(false); // l.p.: entry not found (line 44)
@@ -620,16 +667,30 @@ impl<C: KeyComparator> OakMap<C> {
                         // or v.remove setting the deleted bit (line 48).
                         if removing {
                             self.len.fetch_sub(1, Ordering::Relaxed);
+                            // Merge policy: a removal that leaves the
+                            // chunk empty (by the live-entry heuristic)
+                            // while it has a successor rebalances it — the
+                            // rebalancer folds it into its neighbour
+                            // ("merges chunks when they are under-used",
+                            // §4.1). Decided on the borrow, done outside
+                            // the guard, like the helping in between.
+                            let merge = (c.note_remove() == 0
+                                && !c.is_frozen()
+                                && c.next_ref(&at.guard).is_some())
+                            .then(|| c.clone());
+                            drop(at.guard);
                             oak_failpoints::sync_point!("ops/remove-marked");
                             oak_failpoints::fail_point!("ops/remove-marked");
                             self.finalize_remove(key, h, budget.deadline);
-                            self.maybe_merge(&c);
+                            if let Some(c) = merge {
+                                self.rebalance(&c);
+                            }
                         }
                         return Ok(true);
                     }
                     Ok(false) => {} // deleted under us: clean below
                     Err(info) => {
-                        self.recover_or_err(info.into(), &mut oom_budget, &mut retry, budget, pin)?;
+                        self.recover_or_err(info.into(), &mut oom_budget, &mut retry, budget, at)?;
                         continue;
                     }
                 }
@@ -637,7 +698,7 @@ impl<C: KeyComparator> OakMap<C> {
             // Case 2: value deleted — ensure the entry is removed by
             // CASing its value reference to ⊥ (lines 50–55).
             if !c.publish() {
-                self.rebalance_until(&c, budget.deadline);
+                self.rebalance_borrowed(c.clone(), at.guard, budget.deadline);
                 continue;
             }
             let ok = c.cas_value(ei, h.to_raw(), 0);
@@ -654,13 +715,13 @@ impl<C: KeyComparator> OakMap<C> {
     /// so comparing against `prev` is ABA-free (§4.4). Purely *helping* —
     /// the remove already linearized — so an expired deadline simply stops
     /// helping (a later operation on the key finishes the cleanup).
-    fn finalize_remove(&self, key: &[u8], prev: oak_mempool::HeaderRef, deadline: Option<Instant>) {
+    fn finalize_remove(&self, key: &[u8], prev: HeaderRef, deadline: Option<Instant>) {
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return;
             }
-            let _pin = self.reclaim.pin();
-            let c = self.index.locate(key);
+            let at = self.attempt();
+            let c = self.locate(key, &at.guard);
             let Some(ei) = c.lookup(self.pool(), &self.cmp, key) else {
                 return;
             };
@@ -669,7 +730,7 @@ impl<C: KeyComparator> OakMap<C> {
                 return; // key removed or replaced already (line 65)
             }
             if !c.publish() {
-                if !self.rebalance_until(&c, deadline) {
+                if !self.rebalance_borrowed(c.clone(), at.guard, deadline) {
                     return;
                 }
                 continue;
@@ -678,6 +739,57 @@ impl<C: KeyComparator> OakMap<C> {
             c.cas_value(ei, v, 0);
             c.unpublish();
             return;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use super::*;
+    use crate::config::OakMapConfig;
+
+    /// A structural gate that needs no timing threshold: a point operation
+    /// reaches its value without moving a reference count — the map-wide
+    /// one of the quarantine or the one of the chunk it located — whether
+    /// the chunk was found through the first pointer, an index entry, or a
+    /// `next` hop past a stale index entry. Looked at from inside the
+    /// callbacks of the two point ops that run caller code, so while the
+    /// operation's pin (and, for the compute, its chunk borrow) is live;
+    /// "at rest" is read as soon as the operation has returned.
+    #[test]
+    fn point_ops_move_no_reference_count() {
+        let map = OakMap::with_config(OakMapConfig::small().chunk_capacity(64));
+        let key = |i: u32| format!("key-{i:05}").into_bytes();
+        for i in 0..400 {
+            map.put(&key(i), &[0u8; 8]).unwrap();
+        }
+        let mut chunks = vec![map.first_chunk()];
+        while let Some(n) = chunks.last().expect("non-empty").next_chunk() {
+            chunks.push(n);
+        }
+        assert!(chunks.len() >= 4, "want a multi-chunk map");
+        // Make the index stale for one chunk: its keys now floor to its
+        // predecessor and are reached through that chunk's `next`.
+        let hop = chunks.len() - 2;
+        map.index.retire(&chunks[hop].min_key);
+
+        let first_of = |c: &Chunk| -> Vec<u8> {
+            // SAFETY: key buffers are immutable and live.
+            unsafe { map.pool().slice(c.key_ref(c.head_entry())) }.to_vec()
+        };
+        for (path, at) in [("first pointer", 0), ("index entry", 1), ("next hop", hop)] {
+            let (chunk, k) = (&chunks[at], first_of(&chunks[at]));
+            assert!(Arc::ptr_eq(&map.locate_chunk(&k), chunk));
+            let counts = || (Arc::strong_count(&map.reclaim), Arc::strong_count(chunk));
+
+            let seen = Cell::new((0, 0));
+            assert!(map.get_with(&k, |_| seen.set(counts())).is_some());
+            assert_eq!(seen.get(), counts(), "get_with via the {path}");
+            assert!(map.compute_if_present(&k, |_| seen.set(counts())));
+            assert_eq!(seen.get(), counts(), "compute_if_present via the {path}");
+            assert_eq!(counts().0, 1, "the map holds the only quarantine reference");
         }
     }
 }

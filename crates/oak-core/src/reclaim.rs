@@ -16,10 +16,21 @@
 //! replaced chunks — and the pool keeps all memory mapped, so a late read
 //! is a *logical* hazard, not UB):
 //!
-//! * Readers and writers [`pin`](Quarantine::pin) before walking chunk
-//!   lists and hold the pin for the whole operation (iterators hold one for
-//!   their whole lifetime). Pins count into one of two striped bins,
-//!   selected by the low bit of the global epoch at entry.
+//! * Readers and writers pin before walking chunk lists and hold the pin
+//!   for the whole operation (iterators hold one for their whole
+//!   lifetime). Pins count into one of two striped bins, selected by the
+//!   low bit of the global epoch at entry. There are two kinds of pin, the
+//!   same protocol behind both:
+//!   * a point operation takes a *borrowed* pin ([`Quarantine::pin`], an
+//!     [`OpPin`]): it holds `&Quarantine` for as long as the operation
+//!     borrows the map, so taking and dropping it writes the calling
+//!     thread's own padded stripe and nothing else — no line another
+//!     thread reads or writes;
+//!   * a cursor takes an *owning* pin ([`Quarantine::pin_owned`], a
+//!     [`CursorPin`]): it is shared into the [`OakRBuffer`]s the cursor
+//!     yields, which may outlive the borrow of the map, so it keeps the
+//!     quarantine alive through an `Arc` — one reference-count bump on a
+//!     map-wide line per cursor, never per operation.
 //! * Rebalance [`retire`](Quarantine::retire)s dead key slices, stamping
 //!   them with the current epoch `E`.
 //! * The epoch advances `E → E+1` only when the bin of parity `(E+1) & 1`
@@ -42,8 +53,11 @@
 //! rebalance and on the emergency-reclamation path) and an operation
 //! holding its own pin simply cannot free what it retired in the same epoch
 //! window — it defers to a later drain.
+//!
+//! [`OakRBuffer`]: crate::OakRBuffer
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -98,27 +112,17 @@ impl Quarantine {
         }
     }
 
-    /// Pins the current epoch. Increment-then-validate: bump the bin for
-    /// the observed epoch's parity, then re-check the epoch; if it moved,
-    /// the increment may be in the wrong (reclaimable) bin — undo and
-    /// retry. The trailing fence orders the pin before every subsequent
-    /// chunk read.
-    pub(crate) fn pin(self: &Arc<Self>) -> EpochPin {
-        let stripe = stripe_index();
-        loop {
-            let e = self.epoch.load(Ordering::SeqCst);
-            let slot = (e & 1) as usize;
-            self.stripes[stripe].bins[slot].fetch_add(1, Ordering::SeqCst);
-            if self.epoch.load(Ordering::SeqCst) == e {
-                fence(Ordering::SeqCst);
-                return EpochPin {
-                    q: Arc::clone(self),
-                    stripe,
-                    slot,
-                };
-            }
-            self.stripes[stripe].bins[slot].fetch_sub(1, Ordering::SeqCst);
-        }
+    /// A point operation's pin: borrows the quarantine for the operation's
+    /// borrow of the map (see the module docs for the two pin kinds).
+    #[inline]
+    pub(crate) fn pin(&self) -> OpPin<'_> {
+        EpochPin::enter(self)
+    }
+
+    /// A cursor's pin: owns a reference to the quarantine, so it can be
+    /// shared into buffers that outlive the cursor's borrow of the map.
+    pub(crate) fn pin_owned(self: &Arc<Self>) -> CursorPin {
+        EpochPin::enter(Arc::clone(self))
     }
 
     /// Quarantines one dead key slice. The leading fence orders the
@@ -247,21 +251,55 @@ impl std::fmt::Debug for Quarantine {
 }
 
 /// An epoch pin: while held, no key slice retired at or after the pin's
-/// entry epoch can be freed. Cheap to take (two atomic RMWs) and `Drop`
-/// releases it.
-pub(crate) struct EpochPin {
-    q: Arc<Quarantine>,
+/// entry epoch can be freed. `Q` is how the pin reaches its quarantine —
+/// borrowed ([`OpPin`]) or owned ([`CursorPin`]).
+///
+/// Taking and releasing a pin costs two atomic RMWs, both on the calling
+/// thread's own cache-line-padded stripe: the `fetch_add` that enters a
+/// bin and the `fetch_sub` in `Drop` that leaves it. The epoch word is
+/// only read (its line is written by `try_advance` alone, once per drain
+/// round). An [`OpPin`] touches nothing else; a [`CursorPin`] adds the two
+/// RMWs of its `Arc` on the quarantine's reference count, once per cursor.
+pub(crate) struct EpochPin<Q: Deref<Target = Quarantine>> {
+    q: Q,
     stripe: usize,
     slot: usize,
 }
 
-impl Drop for EpochPin {
+/// The pin of one point operation: borrows the map's quarantine.
+pub(crate) type OpPin<'q> = EpochPin<&'q Quarantine>;
+/// The pin of a cursor and of the buffers it yields: owns the quarantine.
+pub(crate) type CursorPin = EpochPin<Arc<Quarantine>>;
+
+impl<Q: Deref<Target = Quarantine>> EpochPin<Q> {
+    /// Pins the current epoch. Increment-then-validate: bump the bin for
+    /// the observed epoch's parity, then re-check the epoch; if it moved,
+    /// the increment may be in the wrong (reclaimable) bin — undo and
+    /// retry. The trailing fence orders the pin before every subsequent
+    /// chunk read.
+    #[inline]
+    fn enter(q: Q) -> Self {
+        let stripe = stripe_index();
+        loop {
+            let e = q.epoch.load(Ordering::SeqCst);
+            let slot = (e & 1) as usize;
+            q.stripes[stripe].bins[slot].fetch_add(1, Ordering::SeqCst);
+            if q.epoch.load(Ordering::SeqCst) == e {
+                fence(Ordering::SeqCst);
+                return EpochPin { q, stripe, slot };
+            }
+            q.stripes[stripe].bins[slot].fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+impl<Q: Deref<Target = Quarantine>> Drop for EpochPin<Q> {
     fn drop(&mut self) {
         self.q.stripes[self.stripe].bins[self.slot].fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-impl std::fmt::Debug for EpochPin {
+impl<Q: Deref<Target = Quarantine>> std::fmt::Debug for EpochPin<Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EpochPin").finish()
     }
@@ -315,15 +353,23 @@ mod tests {
     #[test]
     fn pin_blocks_reclamation_until_dropped() {
         let q = Arc::new(Quarantine::new(pool()));
-        let r = q.pool.allocate(64).unwrap();
-        let pin = q.pin();
-        q.retire(r);
-        // The pin caps the epoch at entry+1 < stamp+2: nothing drains.
-        assert_eq!(q.drain_now(), 0);
-        assert_eq!(q.pending_bytes(), 64);
-        drop(pin);
-        assert_eq!(q.drain_now(), 64);
-        assert_eq!(q.pending_bytes(), 0);
+        for owning in [false, true] {
+            let r = q.pool.allocate(64).unwrap();
+            let pin = if owning {
+                (None, Some(q.pin_owned()))
+            } else {
+                (Some(q.pin()), None)
+            };
+            // Only the owning kind holds a reference to the quarantine.
+            assert_eq!(Arc::strong_count(&q), 1 + owning as usize);
+            q.retire(r);
+            // The pin caps the epoch at entry+1 < stamp+2: nothing drains.
+            assert_eq!(q.drain_now(), 0);
+            assert_eq!(q.pending_bytes(), 64);
+            drop(pin);
+            assert_eq!(q.drain_now(), 64);
+            assert_eq!(q.pending_bytes(), 0);
+        }
     }
 
     #[test]

@@ -708,7 +708,9 @@ where
         inclusive: bool,
         f: impl FnOnce(&K, &V) -> R,
     ) -> Option<R> {
-        self.floor_by(|k| if inclusive { k <= key } else { k < key }, f)
+        let guard = epoch::pin();
+        self.floor_by(|k| if inclusive { k <= key } else { k < key }, &guard)
+            .map(|(k, v)| f(k, v))
     }
 
     /// Generalized floor: the last live entry whose key satisfies
@@ -716,24 +718,29 @@ where
     /// key order). Lets callers probe with foreign key representations —
     /// e.g. Oak probes its `minKey` index with raw byte slices, avoiding a
     /// key allocation per lookup.
-    pub fn floor_by<R>(
+    ///
+    /// The entry is *lent* for the lifetime of the caller's `guard`: a
+    /// removed node and a replaced value box are only destroyed once every
+    /// guard that could have reached them is released, so the caller may
+    /// keep reading both — and whatever the value keeps alive — without
+    /// cloning, for as long as it stays pinned.
+    pub fn floor_by<'g>(
         &self,
         in_range: impl Fn(&K) -> bool,
-        f: impl FnOnce(&K, &V) -> R,
-    ) -> Option<R> {
+        guard: &'g Guard,
+    ) -> Option<(&'g K, &'g V)> {
         self.heap.safepoint();
-        let guard = epoch::pin();
 
         // Descend to the last node with key ≤/< `key`.
+        // SAFETY (every `as_ref` below): nodes and value boxes loaded
+        // under `guard` stay alive for `'g`.
         let mut pred: &Node<K, V> = &self.head;
         for level in (0..MAX_HEIGHT).rev() {
-            let mut curr = pred.tower[level]
-                .load(Ordering::Acquire, &guard)
-                .with_tag(0);
+            let mut curr = pred.tower[level].load(Ordering::Acquire, guard).with_tag(0);
             while let Some(c) = unsafe { curr.as_ref() } {
                 if in_range(c.key()) {
                     pred = c;
-                    curr = c.tower[level].load(Ordering::Acquire, &guard).with_tag(0);
+                    curr = c.tower[level].load(Ordering::Acquire, guard).with_tag(0);
                 } else {
                     break;
                 }
@@ -743,45 +750,45 @@ where
         // head). It may be logically deleted, and in-range nodes may have
         // been inserted after it; walk the short tail segment from `pred`,
         // tracking the last live in-range node.
-        let mut best: Option<(&K, &VBox<V>)> = None;
+        let mut best: Option<(&'g K, &'g VBox<V>)> = None;
         let start_at_pred = !std::ptr::eq(pred, &*self.head);
-        let mut scan: Shared<'_, Node<K, V>> = if start_at_pred {
+        let mut scan: Shared<'g, Node<K, V>> = if start_at_pred {
             // SAFETY: `pred` is protected by `guard`.
             Shared::from(pred as *const Node<K, V>)
         } else {
             self.head.tower[0]
-                .load(Ordering::Acquire, &guard)
+                .load(Ordering::Acquire, guard)
                 .with_tag(0)
         };
         while let Some(c) = unsafe { scan.as_ref() } {
             if !in_range(c.key()) {
                 break;
             }
-            let v = c.value.load(Ordering::Acquire, &guard);
+            let v = c.value.load(Ordering::Acquire, guard);
             if let Some(vb) = unsafe { v.as_ref() } {
                 best = Some((c.key(), vb));
             }
-            scan = c.tower[0].load(Ordering::Acquire, &guard).with_tag(0);
+            scan = c.tower[0].load(Ordering::Acquire, guard).with_tag(0);
         }
         if best.is_none() && start_at_pred {
             // Cold path: `pred` and its tail segment were all logically
             // deleted. Fall back to a bottom-level walk from the head — the
             // true floor, if any, lies strictly before `pred`.
             let mut cursor = self.head.tower[0]
-                .load(Ordering::Acquire, &guard)
+                .load(Ordering::Acquire, guard)
                 .with_tag(0);
             while let Some(c) = unsafe { cursor.as_ref() } {
                 if !in_range(c.key()) {
                     break;
                 }
-                let v = c.value.load(Ordering::Acquire, &guard);
+                let v = c.value.load(Ordering::Acquire, guard);
                 if let Some(vb) = unsafe { v.as_ref() } {
                     best = Some((c.key(), vb));
                 }
-                cursor = c.tower[0].load(Ordering::Acquire, &guard).with_tag(0);
+                cursor = c.tower[0].load(Ordering::Acquire, guard).with_tag(0);
             }
         }
-        best.map(|(k, vb)| f(k, &vb.value))
+        best.map(|(k, vb)| (k, &vb.value))
     }
 
     /// Descending scan implemented the `ConcurrentSkipListMap` way: a

@@ -146,14 +146,18 @@ fn floor_by_matches_floor_with() {
     for k in (0..100).step_by(5) {
         m.put(k, k);
     }
+    let guard = oak_sync::epoch::pin();
+    let floor_key = |in_range: &dyn Fn(&u32) -> bool| m.floor_by(in_range, &guard).map(|(k, _)| *k);
     for probe in 0..110u32 {
         let via_key = m.floor_with(&probe, true, |k, _| *k);
-        let via_probe = m.floor_by(|k| *k <= probe, |k, _| *k);
-        assert_eq!(via_key, via_probe, "probe {probe}");
+        assert_eq!(via_key, floor_key(&|k| *k <= probe), "probe {probe}");
         let strict_key = m.floor_with(&probe, false, |k, _| *k);
-        let strict_probe = m.floor_by(|k| *k < probe, |k, _| *k);
-        assert_eq!(strict_key, strict_probe, "strict probe {probe}");
+        assert_eq!(
+            strict_key,
+            floor_key(&|k| *k < probe),
+            "strict probe {probe}"
+        );
     }
-    assert_eq!(m.floor_by(|_| false, |k, _| *k), None);
-    assert_eq!(m.floor_by(|_| true, |k, _| *k), Some(95));
+    assert_eq!(floor_key(&|_| false), None);
+    assert_eq!(floor_key(&|_| true), Some(95));
 }

@@ -719,7 +719,7 @@ mod tests {
         assert!(churn.alloc_count > 0, "churn never allocated: {churn:?}");
         assert!(
             churn.freelist_lock_acquires >= churn.alloc_count + churn.free_count,
-            "every first-fit allocation and free takes a free-list lock: {churn:?}"
+            "every allocation and free takes a free-list lock: {churn:?}"
         );
         assert_eq!(summary.rows()[1].bench, "OakMap+reservoir");
         let rv = summary.rows()[1].robustness.expect("stats reservoir");

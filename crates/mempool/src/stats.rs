@@ -241,8 +241,10 @@ pool_metrics! {
     striped sum alloc_count;
     /// Number of frees performed.
     striped sum free_count;
-    /// Bytes consumed by value headers (never reclaimed by the default
-    /// memory manager, per paper §3.3).
+    /// Bytes of value-header slots carved from the arenas. A recycled slot
+    /// is not counted again, so under `ReclaimHeaders` this stays near the
+    /// peak number of live values; under `RetainHeaders` (the paper's
+    /// memory manager, §3.3) it grows with every insert.
     striped sum header_bytes;
     /// Header-lock acquisition attempts that found the lock busy and had to
     /// back off (spin/yield/sleep rounds, summed over all acquisitions).
@@ -258,6 +260,13 @@ pool_metrics! {
     /// Number of free segments across all arenas (external-fragmentation
     /// indicator: more segments for the same `free_bytes` is worse).
     gauge   sum free_segments;
+    /// Bytes of `free_bytes` parked in exact-size bins: free, but reused
+    /// only by a request of the same padded length until the pool flushes
+    /// the bins into the coalesced segments. The rest of `free_bytes` is
+    /// coalesced free space. Each binned slice counts as a segment of its
+    /// own in `free_segments`, `largest_free_segment` and
+    /// [`fragmentation`](PoolStats::fragmentation).
+    gauge   sum binned_bytes;
     /// Largest single free segment in any arena — the biggest allocation
     /// the pool can satisfy without reserving a new arena.
     gauge   max largest_free_segment;

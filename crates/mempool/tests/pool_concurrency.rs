@@ -195,3 +195,94 @@ fn replay_keeps_the_ledger_balanced() {
         }
     }
 }
+
+/// Four threads churn mixed sizes in a pool held at `max_arenas`, with the
+/// live set near capacity, so allocations keep missing every arena and
+/// the bin-flush rung runs while other threads allocate and free. Nothing
+/// may be clobbered, the accounting must balance, and after teardown one
+/// flush leaves each arena whole: an arena-sized request must succeed.
+#[test]
+fn flush_rung_races_churn_at_max_arenas() {
+    const ARENA: usize = 64 << 10;
+    let pool = Arc::new(MemoryPool::new(PoolConfig {
+        arena_size: ARENA,
+        max_arenas: 2,
+    }));
+    let iters = if cfg!(miri) { 40 } else { 4000 };
+    // Each thread keeps at most 28 KiB live: 112 KiB of the 128 KiB budget.
+    const LIVE_CAP: usize = 28 << 10;
+    let ooms: u64 = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let pool = Arc::clone(&pool);
+                s.spawn(move || {
+                    let mut rng = SplitMix64::new(0xF1A5 ^ (t << 32));
+                    let mut live: Vec<(SliceRef, u8)> = Vec::new();
+                    let mut live_bytes = 0usize;
+                    let mut ooms = 0u64;
+                    for i in 0..iters {
+                        let len = match rng.below(4) {
+                            0 => 16,
+                            1 => 104,
+                            2 => 512 + 64 * rng.below(17) as usize,
+                            _ => 1 + rng.below(3000) as usize,
+                        };
+                        if live_bytes + len <= LIVE_CAP && rng.below(2) == 0 {
+                            match pool.allocate(len) {
+                                Ok(r) => {
+                                    let tag = (t as u8) ^ (i as u8);
+                                    // SAFETY: `r` is a fresh allocation no other thread has seen.
+                                    unsafe { pool.slice_mut(r) }.fill(tag);
+                                    live.push((r, tag));
+                                    live_bytes += len;
+                                }
+                                Err(AllocError::PoolExhausted) => ooms += 1,
+                                Err(e) => panic!("unexpected: {e}"),
+                            }
+                        } else if !live.is_empty() {
+                            let n = rng.below(live.len() as u64) as usize;
+                            let (r, tag) = live.swap_remove(n);
+                            // SAFETY: only this thread writes or frees `r`, and not while the view is live.
+                            let s = unsafe { pool.slice(r) };
+                            assert!(s.iter().all(|&b| b == tag), "cross-thread clobber");
+                            live_bytes -= s.len();
+                            pool.free(r);
+                        }
+                    }
+                    for (r, tag) in live {
+                        // SAFETY: only this thread writes or frees `r`, and not while the view is live.
+                        let s = unsafe { pool.slice(r) };
+                        assert!(s.iter().all(|&b| b == tag), "teardown clobber");
+                        pool.free(r);
+                    }
+                    ooms
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    assert_balanced(&pool);
+    if !cfg!(miri) {
+        // Miri's reduced count may not fill the first arena.
+        assert_eq!(pool.stats().arenas, 2, "the churn never reached max_arenas");
+    }
+    assert!(
+        ooms < iters as u64,
+        "{ooms} refusals: the flush rung is not reclaiming binned bytes"
+    );
+    #[cfg(feature = "audit")]
+    {
+        let report = pool.audit();
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(report.balanced, "{report:?}");
+    }
+    // Everything is free but parked in bins. Two arena-sized slices fit
+    // only if the miss path flushes the bins: each arena becomes one
+    // whole segment again.
+    let whole = [pool.allocate(ARENA).unwrap(), pool.allocate(ARENA).unwrap()];
+    assert!(matches!(pool.allocate(8), Err(AllocError::PoolExhausted)));
+    for r in whole {
+        pool.free(r);
+    }
+    assert_balanced(&pool);
+}

@@ -9,13 +9,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+mod model;
+
 use oak_failpoints::{for_each_case, SplitMix64};
 use oak_mempool::{AllocError, FreeList, MemoryPool, PoolConfig, SliceRef, ValueStore};
 
+use model::Model;
+
 /// Model-checks the free list: random interleavings of allocs and frees must
-/// keep segments disjoint, keep accounting exact, never hand out
-/// overlapping regions, and place every allocation where the paper's
-/// first fit over a flat free list (§3.2) puts it.
+/// keep bins, segments and tail disjoint, keep accounting exact, never hand
+/// out overlapping regions, and place every allocation where the shared
+/// reference model (`model/mod.rs`) puts it.
 #[derive(Debug, Clone)]
 enum FlOp {
     Alloc(u32),
@@ -31,43 +35,6 @@ fn fl_ops(rng: &mut SplitMix64) -> Vec<FlOp> {
         .collect()
 }
 
-/// The placement [`FreeList::allocate`] must reproduce: free segments as
-/// a sorted `Vec` of `(offset, len)`, a linear scan for the lowest-offset
-/// segment that fits, and frees merged with both neighbours.
-struct FirstFit {
-    segs: Vec<(u32, u32)>,
-}
-
-impl FirstFit {
-    fn new(capacity: u32) -> Self {
-        FirstFit {
-            segs: vec![(0, capacity)],
-        }
-    }
-
-    fn allocate(&mut self, len: u32) -> Option<u32> {
-        let i = self.segs.iter().position(|&(_, l)| l >= len)?;
-        let (off, seg_len) = self.segs[i];
-        if seg_len == len {
-            self.segs.remove(i);
-        } else {
-            self.segs[i] = (off + len, seg_len - len);
-        }
-        Some(off)
-    }
-
-    fn free(&mut self, offset: u32, len: u32) {
-        let i = self.segs.partition_point(|&(o, _)| o < offset);
-        self.segs.insert(i, (offset, len));
-        if i + 1 < self.segs.len() && offset + len == self.segs[i + 1].0 {
-            self.segs[i].1 += self.segs.remove(i + 1).1;
-        }
-        if i > 0 && self.segs[i - 1].0 + self.segs[i - 1].1 == offset {
-            self.segs[i - 1].1 += self.segs.remove(i).1;
-        }
-    }
-}
-
 const CASES: u64 = 64;
 
 #[test]
@@ -78,14 +45,12 @@ fn freelist_never_overlaps() {
         // hole, and a roomy one, where holes accumulate ahead of the tail.
         for cap in [4 * 1024, 64 * 1024] {
             let mut fl = FreeList::new(cap);
-            let mut model = FirstFit::new(cap);
+            let mut model = Model::new(cap);
             let mut live: Vec<(u32, u32)> = Vec::new();
             for op in ops.iter().cloned() {
                 match op {
                     FlOp::Alloc(len) => {
-                        let got = fl.allocate(len);
-                        assert_eq!(got, model.allocate(len), "first-fit placement, cap {cap}");
-                        if let Some(off) = got {
+                        if let Some(off) = model::allocate(&mut fl, &mut model, len) {
                             // Must not overlap any live allocation.
                             for &(o, l) in &live {
                                 assert!(
@@ -104,15 +69,20 @@ fn freelist_never_overlaps() {
                         }
                     }
                 }
-                fl.check_invariants();
+                model::check(&fl, &model);
                 let live_bytes: u64 = live.iter().map(|&(_, l)| l as u64).sum();
                 assert_eq!(fl.free_bytes() + live_bytes, cap as u64);
-                assert_eq!(
-                    fl.segment_count(),
-                    model.segs.len(),
-                    "coalescing, cap {cap}"
-                );
             }
+            // Free everything, flush: one segment of `capacity`.
+            for (off, len) in live.drain(..) {
+                fl.free(off, len);
+                model.free(off, len);
+            }
+            fl.flush();
+            model.flush();
+            model::check(&fl, &model);
+            assert_eq!(fl.segment_count(), 1);
+            assert_eq!(fl.largest_segment(), cap);
         }
     });
 }

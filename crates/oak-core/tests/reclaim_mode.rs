@@ -50,15 +50,20 @@ fn functional_parity_with_model() {
     m.validate();
 }
 
-#[test]
-fn header_slab_bounded_under_put_remove_churn() {
-    let m = reclaiming_map();
+/// Puts and removes 8 keys 20 000 times on `m`.
+fn put_remove_churn(m: &OakMap) {
     for i in 0..20_000u64 {
         m.put(&k(i % 8), &i.to_le_bytes()).unwrap();
         m.remove(&k(i % 8));
     }
+}
+
+#[test]
+fn header_slab_bounded_under_put_remove_churn() {
+    let m = reclaiming_map();
+    put_remove_churn(&m);
     let stats = m.stats();
-    // The retaining default would have leaked 20_000 × 16 B = 320 KB of
+    // The retaining policy would have leaked 20_000 × 16 B = 320 KB of
     // headers; the reclaiming manager keeps the slab to a few slots.
     assert!(
         stats.pool.header_bytes < 2_048,
@@ -68,9 +73,25 @@ fn header_slab_bounded_under_put_remove_churn() {
     assert_eq!(m.len(), 0);
 }
 
+/// The same churn on an unmodified `OakMapConfig::small()`: recycling
+/// headers is the default, so the slab stays bounded without opting in.
 #[test]
-fn retaining_default_leaks_headers_for_contrast() {
+fn default_config_bounds_the_header_slab() {
     let m = OakMap::with_config(OakMapConfig::small());
+    put_remove_churn(&m);
+    let stats = m.stats();
+    assert!(
+        stats.pool.header_bytes < 2_048,
+        "header slab grew to {} bytes",
+        stats.pool.header_bytes
+    );
+    assert_eq!(m.len(), 0);
+}
+
+#[test]
+fn retaining_policy_leaks_headers_for_contrast() {
+    let m =
+        OakMap::with_config(OakMapConfig::small().reclamation(ReclamationPolicy::RetainHeaders));
     for i in 0..2_000u64 {
         m.put(&k(0), &i.to_le_bytes()).unwrap();
         m.remove(&k(0));

@@ -1,6 +1,6 @@
-//! Chaos soak: mixed workload + seeded fault schedules + ~95% memory
-//! budget + deadline pressure, watched by a stall watchdog and closed out
-//! by a zero-leak audit.
+//! Chaos soak: mixed workload + seeded fault schedules + a memory budget
+//! below the live set + deadline pressure, watched by a stall watchdog
+//! and closed out by a zero-leak audit.
 //!
 //! ```text
 //! chaos [--seed 42] [--threads 4] [--rounds 8] [--round-ms 500]
@@ -32,7 +32,7 @@ use oak_bench::workload::{KeySampler, WorkloadConfig};
 use oak_bench::{flag_or, flag_value};
 use oak_core::{all_failpoint_sites, OakError, OakMap, OakMapConfig};
 use oak_failpoints::Schedule;
-use oak_mempool::PoolConfig;
+use oak_mempool::{PoolConfig, HEADER_SIZE};
 
 /// Per-error-class accounting, shared across workers.
 #[derive(Default)]
@@ -77,11 +77,15 @@ fn main() {
         distribution: oak_bench::workload::KeyDistribution::Uniform,
     };
 
-    // Pool sized so a full key range sits at ~95% of the budget: the soak
+    // Pool sized to 95% of the live set the mix settles at, so the soak
     // constantly rides the exhaustion edge, exercising the emergency
-    // ladder under deadlines and faults.
-    let raw = size * (workload.key_size + workload.value_size + 24) as u64;
-    let budget_bytes = (raw as usize * 100 / 95).max(512 << 10);
+    // ladder under deadlines and faults. Puts (50%) and removes (15%)
+    // balance with 10/13 of the key range present, each key holding a key,
+    // a value and a header slice; headers recycle and freed slices are
+    // reused by size, so the pool holds little more than that live set.
+    let per_key = (workload.key_size + workload.value_size + HEADER_SIZE) as u64;
+    let settled = size * 10 / 13 * per_key;
+    let budget_bytes = (settled as usize * 95 / 100).max(512 << 10);
     let pool = PoolConfig::with_budget(
         (budget_bytes / 8).next_power_of_two().max(64 << 10),
         budget_bytes,

@@ -69,7 +69,7 @@ fn rebuild<C: KeyComparator>(
     cmp: C,
     manifest: Manifest,
 ) -> Result<OakMap<C>, OakError> {
-    if manifest.fingerprint != config.fingerprint() {
+    if !config.accepts_fingerprint(manifest.fingerprint) {
         return Err(OakError::Corrupted(CorruptionKind::ConfigMismatch));
     }
     let map = OakMap::with_comparator(config, cmp.clone());

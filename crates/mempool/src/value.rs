@@ -24,17 +24,17 @@ use crate::refs::SliceRef;
 /// How value headers are reclaimed after removal (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReclamationPolicy {
-    /// The paper's default: removed values free their payload but retain
-    /// the 16-byte header forever. Header references are never reused, so
-    /// the `finalizeRemove` comparison is trivially ABA-free.
-    #[default]
+    /// The paper's own policy: removed values free their payload but
+    /// retain the 16-byte header forever. Header references are never
+    /// reused, so the `finalizeRemove` comparison is trivially ABA-free.
     RetainHeaders,
-    /// The paper's "more elaborate solution that uses generations (epochs)
-    /// in order to reclaim headers as well": removed headers are recycled
-    /// through a free list, and every reference carries the slot's
-    /// generation. A stale reference fails its generation check after
-    /// acquiring the lock — the "monotonically increasing ABA counter"
-    /// of §4.4.
+    /// The default, and the paper's "more elaborate solution that uses
+    /// generations (epochs) in order to reclaim headers as well": removed
+    /// headers are recycled through a free list, and every reference
+    /// carries the slot's generation. A stale reference fails its
+    /// generation check after acquiring the lock — the "monotonically
+    /// increasing ABA counter" of §4.4.
+    #[default]
     ReclaimHeaders,
 }
 
@@ -94,10 +94,10 @@ pub struct ValueStore {
 }
 
 impl ValueStore {
-    /// Creates a value store over `pool` with the default (retaining)
+    /// Creates a value store over `pool` with the default (recycling)
     /// policy.
     pub fn new(pool: Arc<MemoryPool>) -> Self {
-        Self::with_policy(pool, ReclamationPolicy::RetainHeaders)
+        Self::with_policy(pool, ReclamationPolicy::default())
     }
 
     /// Creates a value store with an explicit reclamation policy.
@@ -1065,7 +1065,10 @@ mod reclaim_tests {
 
     #[test]
     fn retaining_policy_unaffected() {
-        let store = ValueStore::new(Arc::new(MemoryPool::new(PoolConfig::small())));
+        let store = ValueStore::with_policy(
+            Arc::new(MemoryPool::new(PoolConfig::small())),
+            ReclamationPolicy::RetainHeaders,
+        );
         let h = store.allocate_value(b"x").unwrap();
         store.remove(h);
         assert_eq!(store.recycled_headers(), 0);

@@ -27,10 +27,16 @@
 //! on each, which coalesces the bins into the segments (and the tail), and
 //! probes once more before it grows or gives up.
 //!
+//! A [`Summary`] beside each list answers "could `allocate(len)` serve?"
+//! without the list's lock: a bitmap of the non-empty bins and the largest
+//! run (segment or tail). The pool publishes it under the lock after every
+//! change, so the pool's probe locks only arenas that can serve.
+//!
 //! All sizes handed to the list are already rounded up to the arena
 //! allocation granularity by the pool.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Allocation granularity in bytes. Every segment offset and length is a
 /// multiple of this, which keeps embedded atomics aligned.
@@ -43,6 +49,9 @@ const SMALL_MAX_PADDED: u32 = 2048;
 /// Number of bins: one per granular length in `[0, SMALL_MAX_PADDED]`
 /// (bin 0 stays empty).
 const BINS: usize = (SMALL_MAX_PADDED / GRANULARITY) as usize + 1;
+
+/// Words of a bitmap with one bit per bin.
+const BIN_WORDS: usize = BINS.div_ceil(64);
 
 /// Granularity for oversized (padded > [`SMALL_MAX_PADDED`]) allocations.
 /// Coarser rounding bounds the number of distinct oversized sizes, so a
@@ -70,6 +79,8 @@ pub struct FreeList {
     /// `bins[len / GRANULARITY]`: offsets of freed slices of exactly `len`
     /// bytes, most recently freed last.
     bins: Box<[Vec<u32>]>,
+    /// Bit `i` is set iff `bins[i]` is not empty.
+    bin_mask: [u64; BIN_WORDS],
     /// Bytes parked in `bins`.
     binned_bytes: u64,
     /// Coalesced free segments: offset → length. Invariant: segments are
@@ -90,6 +101,7 @@ impl FreeList {
         assert!(capacity.is_multiple_of(GRANULARITY));
         FreeList {
             bins: vec![Vec::new(); BINS].into_boxed_slice(),
+            bin_mask: [0; BIN_WORDS],
             binned_bytes: 0,
             segments: BTreeMap::new(),
             by_len: BTreeSet::new(),
@@ -122,11 +134,18 @@ impl FreeList {
     /// slice's offset, or `None` if neither the bin for `len`, nor any
     /// segment, nor the tail can hold it.
     pub fn allocate(&mut self, len: u32) -> Option<u32> {
-        // Injected miss: the pool skips this arena as if it were full,
-        // exercising the flush, arena growth and exhaustion paths.
+        // Injected miss: the pool moves on as if this arena were full. Only
+        // a locked probe reaches this site, so an arena that its summary
+        // rules out never evaluates it; the locked pass before the flush
+        // probes every arena, and misses injected there drive the flush,
+        // arena growth and exhaustion paths.
         oak_failpoints::fail_point!("freelist/pop", None);
         debug_assert!(len > 0 && len.is_multiple_of(GRANULARITY));
-        let off = if let Some(off) = self.bins.get_mut(bin(len)).and_then(Vec::pop) {
+        let b = bin(len);
+        let off = if let Some(off) = self.bins.get_mut(b).and_then(Vec::pop) {
+            if self.bins[b].is_empty() {
+                self.bin_mask[b / 64] &= !(1 << (b % 64));
+            }
             self.binned_bytes -= len as u64;
             off
         } else if let Some(&(seg_len, off)) = self.by_len.range((len, 0)..).next() {
@@ -161,8 +180,10 @@ impl FreeList {
             offset as u64 + len as u64 <= self.tail as u64,
             "free list corruption: free of [{offset}, +{len}) past the tail"
         );
-        if let Some(bin) = self.bins.get_mut(bin(len)) {
-            bin.push(offset);
+        let b = bin(len);
+        if let Some(slices) = self.bins.get_mut(b) {
+            slices.push(offset);
+            self.bin_mask[b / 64] |= 1 << (b % 64);
             self.binned_bytes += len as u64;
         } else {
             self.coalesce(offset, len);
@@ -182,6 +203,7 @@ impl FreeList {
                 self.coalesce(off, len);
             }
         }
+        self.bin_mask = [0; BIN_WORDS];
         self.binned_bytes = 0;
         true
     }
@@ -241,13 +263,28 @@ impl FreeList {
     /// can satisfy without a flush, regardless of how many bytes are free
     /// in total.
     pub fn largest_segment(&self) -> u32 {
-        let segment = self.by_len.last().map_or(0, |&(len, _)| len);
         let binned = self
             .bins
             .iter()
             .rposition(|b| !b.is_empty())
             .map_or(0, |i| i as u32 * GRANULARITY);
-        segment.max(binned).max(self.capacity - self.tail)
+        self.largest_run().max(binned)
+    }
+
+    /// The larger of the largest segment and the tail: every request of at
+    /// most this many bytes is served whether or not its bin is empty.
+    fn largest_run(&self) -> u32 {
+        let segment = self.by_len.last().map_or(0, |&(len, _)| len);
+        segment.max(self.capacity - self.tail)
+    }
+
+    /// The non-empty bins, recomputed from the bins themselves.
+    fn bins_in_use(&self) -> [u64; BIN_WORDS] {
+        let mut mask = [0; BIN_WORDS];
+        for (i, _) in self.bins.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+            mask[i / 64] |= 1 << (i % 64);
+        }
+        mask
     }
 
     /// Checks structural invariants; used by tests and debug assertions.
@@ -291,6 +328,7 @@ impl FreeList {
             pieces.extend(bin.iter().map(|&off| (off, len)));
         }
         assert_eq!(binned, self.binned_bytes, "binned byte accounting drifted");
+        assert_eq!(self.bin_mask, self.bins_in_use(), "bin bitmap drifted");
         if self.tail < self.capacity {
             pieces.push((self.tail, self.capacity - self.tail));
         }
@@ -308,6 +346,69 @@ impl FreeList {
             sum += len as u64;
         }
         assert_eq!(sum, self.free_bytes, "free byte accounting drifted");
+    }
+}
+
+/// What one arena's [`FreeList`] can serve, readable without the list's
+/// lock: bit `i` of `bins` is set iff bin `i` holds a slice, and
+/// `largest_run` is [`FreeList::largest_run`]. Only the holder of the
+/// list's lock writes it, through [`publish`](Self::publish) after every
+/// change, so whenever that lock is free it equals the list's own answer.
+/// It publishes no other data: readers load it `Relaxed`, and the locked
+/// probe that follows reads the list itself. A stale value is the answer
+/// of a locked probe made a moment earlier.
+#[derive(Debug)]
+#[repr(align(64))]
+pub(crate) struct Summary {
+    bins: [AtomicU64; BIN_WORDS],
+    largest_run: AtomicU32,
+}
+
+impl Summary {
+    /// The summary of `list` as it stands.
+    pub(crate) fn of(list: &FreeList) -> Self {
+        Summary {
+            bins: list.bin_mask.map(AtomicU64::new),
+            largest_run: AtomicU32::new(list.largest_run()),
+        }
+    }
+
+    /// Publishes `list`'s state. The caller holds `list`'s lock. A word
+    /// that did not change is not stored, so readers' copies of its cache
+    /// line stay valid.
+    #[inline]
+    pub(crate) fn publish(&self, list: &FreeList) {
+        for (word, &bits) in self.bins.iter().zip(&list.bin_mask) {
+            if word.load(Ordering::Relaxed) != bits {
+                word.store(bits, Ordering::Relaxed);
+            }
+        }
+        let run = list.largest_run();
+        if self.largest_run.load(Ordering::Relaxed) != run {
+            self.largest_run.store(run, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether `allocate(len)` on the list could serve, as of the last
+    /// publish: its bin holds a slice, or a run of at least `len` bytes is
+    /// free. `false` exactly when the locked call would return `None`.
+    #[inline]
+    pub(crate) fn may_serve(&self, len: u32) -> bool {
+        let b = bin(len);
+        self.largest_run.load(Ordering::Relaxed) >= len
+            || (b < BINS && self.bins[b / 64].load(Ordering::Relaxed) & (1 << (b % 64)) != 0)
+    }
+
+    /// Asserts that this summary of arena `arena` equals the one
+    /// recomputed from `list`, whose lock the caller holds.
+    pub(crate) fn check(&self, list: &FreeList, arena: usize) {
+        let bins = self.bins.each_ref().map(|w| w.load(Ordering::Relaxed));
+        assert_eq!(bins, list.bins_in_use(), "arena {arena}: stale bin bitmap");
+        assert_eq!(
+            self.largest_run.load(Ordering::Relaxed),
+            list.largest_run(),
+            "arena {arena}: stale largest run"
+        );
     }
 }
 

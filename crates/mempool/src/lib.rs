@@ -14,7 +14,8 @@
 //!   fixed-size raw memory region): exact-size bins, coalesced segments
 //!   found by smallest fit, and a bump tail;
 //! * [`MemoryPool`] — a multi-arena pool handing out packed 64-bit
-//!   [`SliceRef`]s, with exact footprint accounting;
+//!   [`SliceRef`]s, with exact footprint accounting; its probe locks only
+//!   the arenas whose lock-free summary says they can serve;
 //! * [`ValueStore`] — the value-access layer: every value is fronted by a
 //!   16-byte *header* holding a reader/writer lock word, a deleted bit, and an
 //!   indirection to the payload, enabling atomic `put`/`compute`/`remove` and

@@ -7,6 +7,12 @@
 //! paper's "shared pool of large (100 MB by default) pre-allocated off-heap
 //! arenas" (§3.2).
 //!
+//! Each arena's list has a lock-free summary beside it (its non-empty bins
+//! and its largest free run), published under the list's lock after every
+//! change. The probe reads it first and locks only an arena that can
+//! serve, so a request takes about one lock however many arenas are full;
+//! before it flushes, the pool still probes every arena under its lock.
+//!
 //! Arena slots are pre-sized and initialized at most once, so the read path
 //! (`slice`, `atomic_*`) indexes into arenas without taking any lock.
 
@@ -18,7 +24,7 @@ use oak_sync::Mutex;
 use crate::arena::Arena;
 use crate::audit::AllocClass;
 use crate::error::AllocError;
-use crate::freelist::{round_up, FreeList};
+use crate::freelist::{round_up, FreeList, Summary};
 use crate::refs::{SliceRef, MAX_BLOCKS, MAX_SLICE_LEN};
 use crate::shared::ArenaPool;
 use crate::stats::{Counters, PoolStats};
@@ -64,6 +70,22 @@ impl PoolConfig {
 struct Block {
     arena: Arena,
     free: Mutex<FreeList>,
+    /// What `free` can serve, readable without its lock.
+    summary: Summary,
+}
+
+impl Block {
+    /// Runs `f` on the free list under its lock and publishes the list's
+    /// summary before the lock is released. Every change to a list goes
+    /// through here, so no change can leave the summary stale.
+    #[inline]
+    fn with_free<R>(&self, counters: &Counters, f: impl FnOnce(&mut FreeList) -> R) -> R {
+        let mut free = self.free.lock();
+        counters.freelist_lock_acquires.incr();
+        let result = f(&mut free);
+        self.summary.publish(&free);
+        result
+    }
 }
 
 /// A multi-arena, thread-safe memory pool with packed-reference addressing.
@@ -191,10 +213,19 @@ impl MemoryPool {
         self.allocate_from_arenas(len as u32, padded)
     }
 
-    /// Probes the arena free lists in order for a slice of `padded` bytes.
-    /// When every initialized arena misses, it flushes each arena's bins
-    /// into its segments and probes once more; only then does it grow the
-    /// pool, or refuse with [`AllocError::PoolExhausted`] at the budget.
+    /// Probes the arenas in index order for a slice of `padded` bytes,
+    /// locking only those whose summary says they can serve. When that
+    /// pass finds nothing, it probes every arena under its lock; when that
+    /// misses too, it flushes each arena's bins into its segments and
+    /// probes once more; only then does it grow the pool, or refuse with
+    /// [`AllocError::PoolExhausted`] at the budget.
+    ///
+    /// A summary rules an arena out only when its locked `allocate` would
+    /// miss, so a single thread gets exactly the offsets a walk that locks
+    /// every arena would give it. Under concurrency a stale "cannot serve"
+    /// is the answer of a locked probe made a moment earlier, which a walk
+    /// holding one lock at a time allows too; and nothing is flushed,
+    /// grown or refused before the locked pass has missed.
     ///
     /// Growth is de-amortized: the expensive part (obtaining and zeroing
     /// an arena) runs with no lock held and the new block is published
@@ -215,14 +246,11 @@ impl MemoryPool {
                     pending = true;
                     continue;
                 };
-                let offset = {
-                    let mut free = block.free.lock();
-                    self.counters.freelist_lock_acquires.incr();
-                    free.allocate(padded)
-                };
-                if let Some(offset) = offset {
-                    self.note_allocated(padded);
-                    return Ok(SliceRef::new(i, offset, len));
+                if !block.summary.may_serve(padded) {
+                    continue;
+                }
+                if let Some(r) = self.probe(i, block, len, padded) {
+                    return Ok(r);
                 }
             }
             if pending {
@@ -230,6 +258,9 @@ impl MemoryPool {
                 // waiting for its short `set` beats claiming another slot.
                 std::thread::yield_now();
                 continue;
+            }
+            if let Some(r) = self.probe_locked(n, len, padded) {
+                return Ok(r);
             }
             // Every arena missed: binned bytes may still add up to a fit
             // once coalesced. One flush per call; then probe again.
@@ -248,16 +279,34 @@ impl MemoryPool {
         }
     }
 
+    /// Allocates `padded` bytes from arena `i` under its lock.
+    #[inline]
+    fn probe(&self, i: usize, block: &Block, len: u32, padded: u32) -> Option<SliceRef> {
+        let offset = block.with_free(&self.counters, |free| free.allocate(padded))?;
+        self.note_allocated(padded);
+        Some(SliceRef::new(i, offset, len))
+    }
+
+    /// Probes arenas `[0, n)` in order, each under its lock whatever its
+    /// summary says: the pass that must miss before the pool flushes,
+    /// grows or refuses.
+    #[cold]
+    #[inline(never)]
+    fn probe_locked(&self, n: usize, len: u32, padded: u32) -> Option<SliceRef> {
+        (self.blocks[..n].iter().enumerate())
+            .filter_map(|(i, slot)| Some((i, slot.get()?)))
+            .find_map(|(i, block)| self.probe(i, block, len, padded))
+    }
+
     /// Coalesces the exact-size bins of arenas `[0, n)` into their
     /// segments, one arena lock at a time. Returns whether any arena had
     /// binned bytes.
     #[cold]
+    #[inline(never)]
     fn flush_bins(&self, n: usize) -> bool {
         let mut flushed = false;
         for block in self.blocks[..n].iter().filter_map(OnceLock::get) {
-            let mut free = block.free.lock();
-            self.counters.freelist_lock_acquires.incr();
-            flushed |= free.flush();
+            flushed |= block.with_free(&self.counters, FreeList::flush);
         }
         flushed
     }
@@ -267,6 +316,7 @@ impl MemoryPool {
     /// the claim race to a thread that is publishing one. `Ok(false)`
     /// means the shared reservoir had no arena left.
     #[cold]
+    #[inline(never)]
     fn grow(&self, n: usize) -> Result<bool, AllocError> {
         oak_failpoints::fail_point!("pool/grow", Err(AllocError::Injected));
         let arena = match &self.shared {
@@ -291,9 +341,11 @@ impl MemoryPool {
             self.release_arena(arena);
             return Ok(true);
         }
+        let free = FreeList::new(self.config.arena_size as u32);
         let block = Block {
             arena,
-            free: Mutex::new(FreeList::new(self.config.arena_size as u32)),
+            summary: Summary::of(&free),
+            free: Mutex::new(free),
         };
         if let Err(block) = self.blocks[n].set(block) {
             // Unreachable: the claim CAS makes each slot index a unique
@@ -342,9 +394,8 @@ impl MemoryPool {
         }
         self.counters.freed_bytes.add(padded as u64);
         self.counters.free_count.incr();
-        let block = self.block(r.block());
-        block.free.lock().free(r.offset(), padded);
-        self.counters.freelist_lock_acquires.incr();
+        self.block(r.block())
+            .with_free(&self.counters, |free| free.free(r.offset(), padded));
     }
 
     #[inline]
@@ -469,6 +520,20 @@ impl MemoryPool {
 
     pub(crate) fn counters(&self) -> &Counters {
         &self.counters
+    }
+
+    /// Asserts that every arena's summary equals the one recomputed from
+    /// its free list under the list's lock. Every change publishes before
+    /// it releases that lock, so this holds at any time, not only at a
+    /// quiescent point.
+    #[doc(hidden)]
+    pub fn check_summaries(&self) {
+        let n = self.nblocks.load(Ordering::Acquire);
+        for (i, slot) in self.blocks[..n].iter().enumerate() {
+            if let Some(block) = slot.get() {
+                block.summary.check(&block.free.lock(), i);
+            }
+        }
     }
 
     /// Every allocation currently live according to the auditor's ledger,

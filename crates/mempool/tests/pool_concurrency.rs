@@ -1,7 +1,7 @@
 //! Pool soak tests: seeded alloc/free streams, from one thread and from
 //! four, must never clobber live contents, and the byte accounting (and,
 //! with the `audit` feature, the allocation ledger) must balance to the
-//! reserved capacity afterwards.
+//! reserved capacity afterwards, with every arena's summary exact.
 //! (The op streams are seeded and short under `cfg(miri)`, so they run in
 //! every configuration.)
 
@@ -102,7 +102,10 @@ fn config() -> PoolConfig {
     }
 }
 
+/// The accounting balances to the reserved capacity, and every arena's
+/// lock-free summary equals the one recomputed from its free list.
 fn assert_balanced(pool: &MemoryPool) {
+    pool.check_summaries();
     let stats = pool.stats();
     assert_eq!(stats.live_bytes, 0, "teardown left live bytes: {stats:?}");
     assert_eq!(
@@ -127,6 +130,11 @@ fn concurrent_churn_stays_coherent() {
                 let mut rng = SplitMix64::new(0xACE1 << t);
                 let mut live: Vec<(SliceRef, u8)> = Vec::new();
                 for i in 0..iters {
+                    if i % 256 == 0 {
+                        // Summaries are exact whenever their lock is free,
+                        // not only once the threads are done.
+                        pool.check_summaries();
+                    }
                     // Keep the working set well under budget: this test
                     // measures steady-state recycling, not the OOM ladder.
                     if (rng.below(5) < 3 && live.len() < 120) || live.is_empty() {

@@ -431,7 +431,9 @@ impl<C: KeyComparator> OakMap<C> {
     ///   after a `yield_now`) until the deadline passes.
     /// * **Pool exhaustion**: spend one unit of `oom_budget` on an
     ///   emergency reclamation pass and retry; once the budget is gone,
-    ///   surface a clean [`OakError::OutOfMemory`]. An expired deadline
+    ///   surface a clean [`OakError::OutOfMemory`]. A pass that compacted
+    ///   no chunk and left nothing quarantined spends the whole budget: a
+    ///   second pass could only repeat it. An expired deadline
     ///   short-circuits to [`OakError::DeadlineExceeded`] *before* paying
     ///   for reclamation.
     /// * Anything else propagates unchanged.
@@ -475,7 +477,9 @@ impl<C: KeyComparator> OakMap<C> {
                     return Err(OakError::OutOfMemory);
                 }
                 *oom_budget -= 1;
-                self.emergency_reclaim(deadline);
+                if !self.emergency_reclaim(deadline) {
+                    *oom_budget = 0;
+                }
                 Ok(())
             }
             _ => Err(e),
@@ -493,16 +497,21 @@ impl<C: KeyComparator> OakMap<C> {
     /// rebalance's engage wait: past it compaction stops early (the
     /// operation is about to surface `DeadlineExceeded` anyway; whatever
     /// was compacted stays).
-    pub(crate) fn emergency_reclaim(&self, deadline: Option<Instant>) {
+    ///
+    /// Returns whether another pass could free more: `false` when this one
+    /// found no chunk with dead entries and left nothing in the quarantine.
+    pub(crate) fn emergency_reclaim(&self, deadline: Option<Instant>) -> bool {
         self.pool().note_emergency_reclaim();
         self.reclaim.drain_now();
         let is_dead = |raw: u64| raw == 0 || self.store.is_deleted(SliceRef::from_raw(raw));
+        let mut compacted = false;
         let mut c = self.index.first_resolved(&self.reclaim.pin());
         loop {
             // Snapshot the successor before a rebalance replaces `c`.
             let next = c.next_chunk(&self.reclaim.pin());
             if c.replacement().is_none() && c.has_dead(is_dead) {
                 self.rebalance(&c, deadline);
+                compacted = true;
             }
             if budget::expired(deadline) {
                 break;
@@ -513,6 +522,7 @@ impl<C: KeyComparator> OakMap<C> {
             }
         }
         self.reclaim.drain_now();
+        compacted || self.reclaim.pending_bytes() > 0
     }
 
     // --- non-insertion operations (Algorithm 3) ----------------------------
@@ -790,7 +800,9 @@ mod tests {
                 assert_eq!(map.put_budgeted(&key("3d"), b"v", d), Ok(()));
             });
             // `k0..k3` are dead entries: the chunk is a compaction candidate.
-            bounded("emergency reclamation", &|d| map.emergency_reclaim(Some(d)));
+            bounded("emergency reclamation", &|d| {
+                map.emergency_reclaim(Some(d));
+            });
             for k in ["3a", "3b", "3c"] {
                 assert!(map.remove(&key(k)));
             }
